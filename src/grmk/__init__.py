@@ -4,8 +4,8 @@ with an exact brute-force oracle on concrete local fields."""
 from .ffield import (FqContext, KContext, LaurentPoly, ContextMismatch,
                      NotAPthPower, ExponentOverflow, ParseError,
                      parse_element, format_element)
-from .forms import (DiffForm, DegreeComponent, NotClosed, wedge, d, cartier,
-                    inv_cartier, inv_cartier_iter, in_B, in_Z, is_closed,
+from .forms import (DiffForm, NotClosed, wedge, d, cartier, inv_cartier,
+                    inv_cartier_iter, in_B, in_Z, is_closed,
                     subspace_basis, nf_mod, parse_form, format_form,
                     subsets_of, B_KIND, Z_KIND)
 from .graded import (CDVFParams, GradedCase, GrDescriptor, GrElement,

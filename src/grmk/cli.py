@@ -37,15 +37,12 @@ def _params_from(args):
     return CDVFParams(args.p, args.f, args.r, args.e, args.n, args.q, args.a)
 
 
-def _emit(lines, fmt):
-    if fmt == "machine":
-        sys.stdout.write("\n".join(lines) + "\n")
-    else:
-        for line in lines:
-            sys.stdout.write(line + "\n")
+def _emit(lines):
+    sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _human_or_machine(sub):
+    # both values print the same grmk.v1 report; kept for compatibility
     sub.add_argument("--format", choices=["text", "machine"], default="text")
 
 
@@ -55,7 +52,7 @@ def cmd_gr(args):
         raise OutOfRangeLevel("levels start at m = 1 (gr^0 is outside this presentation)")
     desc = descriptor(params, args.m, window_cap=args.window_cap)
     result = graded_order(desc, radius=args.deg_window)
-    _emit(reports.render_descriptor(desc, result), args.format)
+    _emit(reports.render_descriptor(desc, result))
     return 0
 
 
@@ -66,7 +63,7 @@ def cmd_reduce(args):
     w2 = parse_form(params.kctx, params.q - 2, args.w2) if args.w2 else None
     el = desc.element(w1, w2)
     red = reduce(el)
-    _emit(reports.render_reduce(desc, red, red.is_zero_pair()), args.format)
+    _emit(reports.render_reduce(desc, red, red.is_zero_pair()))
     return 0
 
 
@@ -75,8 +72,7 @@ def cmd_symbol(args):
     sym = parse_symbol(params.kctx, args.symbol)
     el = symbol_to_forms(params, sym)
     red = reduce(el)
-    _emit(reports.render_symbol(el.desc, args.symbol, el, red, red.is_zero_pair()),
-          args.format)
+    _emit(reports.render_symbol(el.desc, args.symbol, el, red, red.is_zero_pair()))
     return 0
 
 
@@ -95,12 +91,12 @@ def cmd_verify_q1(args):
                         if a_code < poly.p else f"g^{ctx.fq.glog(a_code)}")
     table = oracle.unit_group(ctx, args.n, cap=args.cap)
     cmp_report = oracle.compare(ctx, params, table)
-    rep_lo = oracle.gr_orders(oracle.unit_group(
-        oracle.build_field(poly, c_n + 1), args.n, cap=args.cap))
-    rep_hi = oracle.gr_orders(oracle.unit_group(
-        oracle.build_field(poly, c_n + 3), args.n, cap=args.cap))
-    stable = rep_lo.same_orders(rep_hi)
-    _emit(reports.render_compare(cmp_report, stable), args.format)
+    # stabilization between cutoffs c_n + 1 and c_n + 3, reusing the table at N
+    lo, hi = (table if cutoff == N else oracle.unit_group(
+                  oracle.build_field(poly, cutoff), args.n, cap=args.cap)
+              for cutoff in (c_n + 1, c_n + 3))
+    stable = oracle.gr_orders(lo).same_orders(oracle.gr_orders(hi))
+    _emit(reports.render_compare(cmp_report, stable))
     return 0 if (cmp_report.all_match and stable) else 1
 
 
@@ -108,7 +104,7 @@ def cmd_shift_check(args):
     params = _params_from(args)
     rep = level_shift_consistency(params, args.m, radius=args.deg_window,
                                   window_cap=args.window_cap)
-    _emit(reports.render_consistency(rep), args.format)
+    _emit(reports.render_consistency(rep))
     return 0 if rep.consistent else 1
 
 
@@ -116,7 +112,7 @@ def cmd_selftest(args):
     from .selftest import run_selftest
 
     ok, results = run_selftest(seed=args.seed, cases=args.cases)
-    _emit(reports.render_selftest(results, args.seed, args.cases), args.format)
+    _emit(reports.render_selftest(results, args.seed, args.cases))
     return 0 if ok else 1
 
 

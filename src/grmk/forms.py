@@ -20,8 +20,10 @@ The filtration towers are decided recursively through C:
     in_B(w, 0) iff w = 0; in_B(w, 1) iff d(w) = 0 and C(w) = 0;
     in_B(w, s) iff d(w) = 0 and in_B(C(w), s-1)      (s >= 2)
 
-Every tower statement is also realized per degree-alpha slice by
-`subspace_basis`, which backs the normal forms of `nf_mod`.
+d preserves the exponent vector alpha, so the towers split into
+degree-alpha slices.  `subspace_basis` realizes every tower statement per
+slice as sparse reduced-row-echelon rows over the q-subsets; those rows back
+the normal forms of `nf_mod` and the relation spaces of the graded module.
 
 Degrees q < 0 and q > r denote the zero module; operations accept them and
 return zero.
@@ -40,6 +42,7 @@ from __future__ import annotations
 import itertools
 
 from .ffield import ContextMismatch, LaurentPoly, ParseError, parse_element
+from .linalg import RowSpace
 
 B_KIND = "B"
 Z_KIND = "Z"
@@ -316,27 +319,6 @@ def in_B(w, s):
 # ---------------------------------------------------------------------------
 # per-degree-slice realization of the towers
 
-class DegreeComponent:
-    """A vector in the alpha-slice of Omega^q, indexed by the q-subsets.
-
-    d preserves alpha, so the towers split across slices and each slice can
-    be processed independently.
-    """
-
-    __slots__ = ("alpha", "vec")
-
-    def __init__(self, alpha, vec):
-        self.alpha = tuple(alpha)
-        self.vec = tuple(vec)
-
-    def __eq__(self, other):
-        return (isinstance(other, DegreeComponent)
-                and self.alpha == other.alpha and self.vec == other.vec)
-
-    def __repr__(self):
-        return f"DegreeComponent(alpha={self.alpha}, vec={self.vec})"
-
-
 def koszul_matrix(kctx, alpha, q):
     """Columns of (a ^ -): Lambda^{q-1} -> Lambda^q for a = sum alpha_i dlog t_i.
 
@@ -368,76 +350,53 @@ def koszul_matrix(kctx, alpha, q):
 
 
 def subspace_basis(kctx, alpha, q, kind, s):
-    """Echelonized basis of the alpha-slice of B_s^q or Z_s^q.
+    """Reduced-row-echelon basis of the alpha-slice of B_s^q or Z_s^q.
+
+    Rows are sparse dicts {subset_index: code}, indexed by position in
+    subsets_of(r, q), listed in pivot order; each row has a 1 at its pivot
+    (its smallest column) and 0 at every other row's pivot.  The rows are
+    fresh dicts the caller may modify.
 
     For alpha not divisible by p the slice's B_1 equals its Z_1 (Koszul
     exactness), and all tower groups between them share that image; for
-    alpha = p*beta the slice pulls back from beta along entrywise Frobenius.
+    alpha = p*beta the slice is the entrywise Frobenius of the slice at beta.
+    Frobenius is a field automorphism fixing 0 and 1, so it carries a reduced
+    echelon basis to a reduced echelon basis and no elimination is needed.
     """
-    from .linalg import RowSpace
-
     if kind not in (B_KIND, Z_KIND):
         raise ValueError(f"kind must be 'B' or 'Z', got {kind!r}")
     if s < 0:
         raise ValueError("s must be >= 0")
-    alpha = tuple(alpha)
-    subsets = subsets_of(kctx.r, q)
-    n = len(subsets)
-    if n == 0:
+    n = len(subsets_of(kctx.r, q))
+    if n == 0 or (s == 0 and kind == B_KIND):
         return []
-    fq = kctx.fq
-
-    def _echelon(vecs):
-        space = RowSpace(fq)
-        for v in vecs:
-            space.add(v)
-        out = []
-        for piv in space.pivots():
-            row = space.rows[piv]
-            vec = [0] * n
-            for c, v in row.items():
-                vec[c] = v
-            out.append(DegreeComponent(alpha, vec))
-        return out
-
     if s == 0:
-        if kind == B_KIND:
-            return []
-        unit = []
-        for i in range(n):
-            vec = [0] * n
-            vec[i] = 1
-            unit.append(DegreeComponent(alpha, vec))
-        return unit
-
+        return [{i: 1} for i in range(n)]
     p = kctx.p
     if any(x % p for x in alpha):
-        return _echelon(koszul_matrix(kctx, alpha, q))
-
+        space = RowSpace(kctx.fq)
+        for col in koszul_matrix(kctx, alpha, q):
+            space.add(col)
+        return [space.rows[piv] for piv in space.pivots()]
+    frob = kctx.fq.frob
     beta = tuple(x // p for x in alpha)
-    lifted = []
-    for comp in subspace_basis(kctx, beta, q, kind, s - 1):
-        lifted.append({i: fq.frob(c) for i, c in enumerate(comp.vec) if c})
-    return _echelon(lifted)
+    return [{i: frob(c) for i, c in row.items()}
+            for row in subspace_basis(kctx, beta, q, kind, s - 1)]
 
 
 def nf_mod(w, kind, s):
     """Canonical representative of w modulo B_s^q (or Z_s^q).
 
     Zero exactly when the corresponding membership predicate holds; computed
-    per alpha-slice against the echelonized subspace basis.
+    per alpha-slice against the echelon rows of `subspace_basis`.
     """
-    from .linalg import RowSpace
-
     kctx = w.kctx
-    fq = kctx.fq
     subsets = subsets_of(kctx.r, w.q)
     index = {sub: i for i, sub in enumerate(subsets)}
     out_comps = {}
     for alpha, sl in w.components().items():
-        space = RowSpace(fq)
-        for comp in subspace_basis(kctx, alpha, w.q, kind, s):
-            space.add({i: c for i, c in enumerate(comp.vec) if c})
+        space = RowSpace.from_echelon(
+            kctx.fq, subspace_basis(kctx, alpha, w.q, kind, s))
         reduced = space.reduce({index[sub]: c for sub, c in sl.items()})
         if reduced:
             out_comps[alpha] = {subsets[i]: c for i, c in reduced.items()}

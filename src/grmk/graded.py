@@ -254,12 +254,6 @@ class GrDescriptor:
             w2 = DiffForm.zero(k, self.params.q - 2)
         return GrElement(self, w1, w2)
 
-    def reduce(self, el):
-        return reduce(el)
-
-    def is_zero(self, el):
-        return is_zero(el)
-
     def __repr__(self):
         return f"GrDescriptor(m={self.m}, case={self.case!r}, branch={self.branch})"
 
@@ -282,10 +276,13 @@ class GrElement:
         self.w1 = w1 if w1.q == q - 1 else DiffForm.zero(k, q - 1)
         self.w2 = w2 if w2.q == q - 2 else DiffForm.zero(k, q - 2)
 
+    def _same_desc(self, other):
+        """Same descriptor, or one at the same level over the same params."""
+        return other.desc is self.desc or (
+            other.desc.m == self.desc.m and other.desc.params is self.desc.params)
+
     def __add__(self, other):
-        if other.desc is not self.desc and (
-                other.desc.m != self.desc.m
-                or other.desc.params is not self.desc.params):
+        if not self._same_desc(other):
             raise ValueError("elements belong to different descriptors")
         return GrElement(self.desc, self.w1 + other.w1, self.w2 + other.w2)
 
@@ -293,7 +290,7 @@ class GrElement:
         return self.w1.is_zero() and self.w2.is_zero()
 
     def __eq__(self, other):
-        return (isinstance(other, GrElement)
+        return (isinstance(other, GrElement) and self._same_desc(other)
                 and self.w1 == other.w1 and self.w2 == other.w2)
 
     def __repr__(self):
@@ -309,31 +306,38 @@ def descriptor(params, m, window_cap=DEFAULT_WINDOW_CAP):
 # ---------------------------------------------------------------------------
 # reduction: Case I with the relation map (slice-diagonal)
 
-def _slice_vec(index_map, slice_terms, offset=0):
-    return {offset + index_map[sub]: c for sub, c in slice_terms.items()}
+def _theta_columns(subs1, subs2):
+    """Column of each subset in a Case I slice vector: subs1 first, then subs2."""
+    n1 = len(subs1)
+    return ({s: i for i, s in enumerate(subs1)},
+            {s: n1 + i for i, s in enumerate(subs2)})
+
+
+def _theta_vec(columns, sl1, sl2):
+    """Slice vector of the pair of slice terms (sl1, sl2)."""
+    col1, col2 = columns
+    vec = {col1[sub]: c for sub, c in sl1.items()}
+    vec.update((col2[sub], c) for sub, c in sl2.items())
+    return vec
 
 
 def _theta_relation_space(desc, beta, subs1, subs2):
     params = desc.params
     kctx = params.kctx
-    fq = kctx.fq
-    n1 = len(subs1)
-    idx1 = {s: i for i, s in enumerate(subs1)}
-    idx2 = {s: i for i, s in enumerate(subs2)}
-    space = RowSpace(fq)
-    for comp in subspace_basis(kctx, beta, params.q - 1, B_KIND, desc.b_level):
-        space.add({i: c for i, c in enumerate(comp.vec) if c})
-    for comp in subspace_basis(kctx, beta, params.q - 2, B_KIND, desc.b_level):
-        space.add({n1 + i: c for i, c in enumerate(comp.vec) if c})
+    columns = _theta_columns(subs1, subs2)
+    col2 = columns[1]
+    rows = subspace_basis(kctx, beta, params.q - 1, B_KIND, desc.b_level)
+    rows += [{col2[subs2[i]]: c for i, c in row.items()}
+             for row in subspace_basis(kctx, beta, params.q - 2, B_KIND, desc.b_level)]
+    space = RowSpace.from_echelon(kctx.fq, rows)
     ps = params.p ** desc.b_level
     if all(x % ps == 0 for x in beta):
         alpha = tuple(x // ps for x in beta)
         for sub in subs2:
             w = DiffForm.monomial(kctx, alpha, sub)
             t1, t2 = _theta_pair(params, desc.b_level, desc.theta_coeff, w)
-            vec = {}
-            vec.update(_slice_vec(idx1, t1.components().get(beta, {})))
-            vec.update(_slice_vec(idx2, t2.components().get(beta, {}), offset=n1))
+            vec = _theta_vec(columns, t1.components().get(beta, {}),
+                             t2.components().get(beta, {}))
             if vec:
                 space.add(vec)
     return space
@@ -345,17 +349,14 @@ def _reduce_theta(desc, w1, w2):
     subs1 = subsets_of(kctx.r, params.q - 1)
     subs2 = subsets_of(kctx.r, params.q - 2)
     n1 = len(subs1)
-    idx1 = {s: i for i, s in enumerate(subs1)}
-    idx2 = {s: i for i, s in enumerate(subs2)}
+    columns = _theta_columns(subs1, subs2)
     comps1 = w1.components()
     comps2 = w2.components()
     out1, out2 = {}, {}
     for beta in sorted(set(comps1) | set(comps2)):
         space = _theta_relation_space(desc, beta, subs1, subs2)
-        vec = {}
-        vec.update(_slice_vec(idx1, comps1.get(beta, {})))
-        vec.update(_slice_vec(idx2, comps2.get(beta, {}), offset=n1))
-        red = space.reduce(vec)
+        red = space.reduce(_theta_vec(columns, comps1.get(beta, {}),
+                                      comps2.get(beta, {})))
         s1 = {subs1[c]: v for c, v in red.items() if c < n1}
         s2 = {subs2[c - n1]: v for c, v in red.items() if c >= n1}
         if s1:
@@ -439,19 +440,21 @@ def _unflatten(params, vec, subs, slices, nsub):
 
 
 def _ac_relation_space(desc, deg, slices):
-    """Row space of (1+aC) applied to the tower slices, over GF(p)."""
+    """Row space of (1+aC) applied to the tower slices, over GF(p).
+
+    Also returns the deg-subsets, their count and each slice's column block.
+    """
     params = desc.params
     kctx = params.kctx
     subs = subsets_of(kctx.r, deg)
     nsub = len(subs)
-    fp = FqContext(params.p, 1)
-    space = RowSpace(fp)
-    if nsub == 0:
-        return space, subs, nsub
     slice_pos = {g: i for i, g in enumerate(slices)}
+    space = RowSpace(FqContext(params.p, 1))
+    if nsub == 0:
+        return space, subs, nsub, slice_pos
     for gamma in slices:
-        for comp in subspace_basis(kctx, gamma, deg, Z_KIND, desc.z_level):
-            sl = {subs[i]: c for i, c in enumerate(comp.vec) if c}
+        for row in subspace_basis(kctx, gamma, deg, Z_KIND, desc.z_level):
+            sl = {subs[i]: c for i, c in row.items()}
             z0 = DiffForm.from_components(kctx, deg, {gamma: sl})
             for l in range(params.f):
                 z = z0 if l == 0 else z0.scale(params.p ** l)
@@ -459,22 +462,18 @@ def _ac_relation_space(desc, deg, slices):
                 if any(s not in slice_pos for s in g.components()):
                     raise AssertionError("relation image escaped the closed window")
                 space.add(_flatten_form(params, g, subs, slice_pos, nsub))
-    return space, subs, nsub
+    return space, subs, nsub, slice_pos
 
 
 def _reduce_ac_slot(desc, w, deg):
     params = desc.params
-    kctx = params.kctx
-    if w.is_zero() or deg < 0 or deg > kctx.r:
+    if w.is_zero() or deg < 0 or deg > params.r:
         return w
     slices = _ac_window(params, w.components().keys(), desc.window_cap)
-    space, subs, nsub = _ac_relation_space(desc, deg, slices)
-    if nsub == 0:
-        return w
-    slice_pos = {g: i for i, g in enumerate(slices)}
+    space, subs, nsub, slice_pos = _ac_relation_space(desc, deg, slices)
     red = space.reduce(_flatten_form(params, w, subs, slice_pos, nsub))
     return DiffForm.from_components(
-        kctx, deg, _unflatten(params, red, subs, slices, nsub))
+        params.kctx, deg, _unflatten(params, red, subs, slices, nsub))
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +499,6 @@ def reduce(el):
 
 
 def is_zero(el):
-    if el.desc.branch == "zero":
-        return True
     return reduce(el).is_zero_pair()
 
 
@@ -509,22 +506,18 @@ def is_zero(el):
 # orders and dimension tables
 
 def _slice_fp_dim(desc, beta):
-    """GF(p)-dimension of the graded slice pair at degree beta."""
+    """GF(p)-dimension of the Case I graded slice pair at degree beta."""
     params = desc.params
     kctx = params.kctx
     subs1 = subsets_of(kctx.r, params.q - 1)
     subs2 = subsets_of(kctx.r, params.q - 2)
     n1, n2 = len(subs1), len(subs2)
-    if desc.branch == "zero":
-        return 0
     if desc.branch == "theta":
         space = _theta_relation_space(desc, beta, subs1, subs2)
         return params.f * (n1 + n2 - space.rank())
-    if desc.branch == "zmod":
-        z1 = len(subspace_basis(kctx, beta, params.q - 1, Z_KIND, desc.z_level))
-        z2 = len(subspace_basis(kctx, beta, params.q - 2, Z_KIND, desc.z_level))
-        return params.f * ((n1 - z1) + (n2 - z2))
-    raise ValueError("per-slice dimensions of Case II need the windowed table")
+    z1 = len(subspace_basis(kctx, beta, params.q - 1, Z_KIND, desc.z_level))
+    z2 = len(subspace_basis(kctx, beta, params.q - 2, Z_KIND, desc.z_level))
+    return params.f * ((n1 - z1) + (n2 - z2))
 
 
 def _ac_dim_table(desc, box):
@@ -533,9 +526,7 @@ def _ac_dim_table(desc, box):
     slices = _ac_window(params, box, desc.window_cap)
     f = params.f
     for deg in (params.q - 1, params.q - 2):
-        space, subs, nsub = _ac_relation_space(desc, deg, slices)
-        if nsub == 0:
-            continue
+        space, _, nsub, _ = _ac_relation_space(desc, deg, slices)
         pivots_by_slice = {}
         for piv in space.pivots():
             slice_idx = piv // (nsub * f)
@@ -555,19 +546,14 @@ def _degree_box(r, radius):
 def graded_order(desc, radius=DEFAULT_TABLE_RADIUS):
     """Exact group order (r = 0) or a per-degree GF(p)-dimension table (r >= 1)."""
     params = desc.params
-    if params.r == 0:
-        if desc.branch == "zero":
-            return 1
-        if desc.branch == "ac":
-            table = _ac_dim_table(desc, [()])
-            return params.p ** table[()]
-        return params.p ** _slice_fp_dim(desc, ())
     box = _degree_box(params.r, radius)
     if desc.branch == "zero":
-        return {beta: 0 for beta in box}
-    if desc.branch == "ac":
-        return _ac_dim_table(desc, box)
-    return {beta: _slice_fp_dim(desc, beta) for beta in box}
+        table = {beta: 0 for beta in box}
+    elif desc.branch == "ac":
+        table = _ac_dim_table(desc, box)
+    else:
+        table = {beta: _slice_fp_dim(desc, beta) for beta in box}
+    return params.p ** table[()] if params.r == 0 else table
 
 
 # ---------------------------------------------------------------------------
@@ -783,5 +769,6 @@ def level_shift_consistency(params, m, probes=(), radius=DEFAULT_TABLE_RADIUS,
 def make_z_tower_element(kctx, w, level):
     """A member of Z_level built by iterated inverse Cartier; w is arbitrary."""
     z = inv_cartier_iter(w, level)
-    assert in_Z(z, level)
+    if not in_Z(z, level):
+        raise AssertionError(f"inverse Cartier left Z_{level}: {format_form(z)}")
     return z

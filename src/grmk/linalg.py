@@ -14,6 +14,13 @@ class RowSpace:
         self.fq = fq
         self.rows = {}  # pivot column -> row dict with 1 at the pivot
 
+    @classmethod
+    def from_echelon(cls, fq, rows):
+        """The span of rows that are already in reduced echelon form."""
+        space = cls(fq)
+        space.rows = {min(row): row for row in rows}
+        return space
+
     def rank(self):
         return len(self.rows)
 

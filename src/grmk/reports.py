@@ -94,17 +94,6 @@ def render_symbol(desc, sym_text, el, reduced, zero_flag):
     return lines
 
 
-def render_orders(report):
-    lines = [HEADER, "report: oracle-orders",
-             f"p: {report.p}", f"f: {report.f}", f"e: {report.e}",
-             f"n: {report.n}", f"N: {report.N}",
-             f"gr0_pi: {report.gr0_pi}", f"gr0_teich: {report.gr0_teich}"]
-    for m in sorted(report.orders):
-        lines.append(f"gr[{m}]: {report.orders[m]}")
-    lines.append(f"total_u1_image: {report.total_u1_image}")
-    return lines
-
-
 def render_compare(cmp_report, stabilization_ok):
     lines = [HEADER, "report: verify-q1"]
     for m, oracle_order, engine_order, match in cmp_report.rows:

@@ -18,6 +18,12 @@ from .linalg import rank_of
 EXP_LO, EXP_HI = -6, 6
 
 
+def check(ok, detail=""):
+    """Fail the current property unless ok; unlike assert, also under -O."""
+    if not ok:
+        raise AssertionError(detail)
+
+
 # ---------------------------------------------------------------------------
 # random generators
 
@@ -83,30 +89,30 @@ def prop_ffield_ring_axioms(rng, cases):
     for _ in range(cases):
         k = rand_context(rng)
         x, y, z = (rand_element(rng, k) for _ in range(3))
-        assert (x + y) + z == x + (y + z)
-        assert x + y == y + x
-        assert (x * y) * z == x * (y * z)
-        assert x * (y + z) == x * y + x * z
-        assert x + (-x) == k.zero()
-        assert x * k.one() == x
+        check((x + y) + z == x + (y + z))
+        check(x + y == y + x)
+        check((x * y) * z == x * (y * z))
+        check(x * (y + z) == x * y + x * z)
+        check(x + (-x) == k.zero())
+        check(x * k.one() == x)
 
 
 def prop_ffield_frobenius_additive(rng, cases):
     for _ in range(cases):
         k = rand_context(rng)
         x, y = rand_element(rng, k), rand_element(rng, k)
-        assert (x + y).frobenius() == x.frobenius() + y.frobenius()
-        assert x.frobenius() == x ** k.p
+        check((x + y).frobenius() == x.frobenius() + y.frobenius())
+        check(x.frobenius() == x ** k.p)
 
 
 def prop_ffield_pth_root_roundtrip(rng, cases):
     for _ in range(cases):
         k = rand_context(rng)
         x = rand_element(rng, k)
-        assert x.frobenius().pth_root() == x
+        check(x.frobenius().pth_root() == x)
         h = x.frobenius()
-        assert h.is_pth_power()
-        assert h.pth_root() ** k.p == h
+        check(h.is_pth_power())
+        check(h.pth_root() ** k.p == h)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +122,7 @@ def prop_forms_dd_zero(rng, cases):
     for _ in range(cases):
         k = rand_context(rng)
         w = rand_form(rng, k, rng.randint(0, 3))
-        assert d(d(w)).is_zero(), f"d(d(w)) != 0 for {w!r}"
+        check(d(d(w)).is_zero(), f"d(d(w)) != 0 for {w!r}")
 
 
 def prop_forms_cartier_roundtrip(rng, cases):
@@ -124,15 +130,15 @@ def prop_forms_cartier_roundtrip(rng, cases):
         k = rand_context(rng)
         w = rand_form(rng, k, rng.randint(0, 3))
         cw = inv_cartier(w)
-        assert is_closed(cw), f"inverse Cartier output not closed: {w!r}"
-        assert cartier(cw) == w, f"C(C^-1(w)) != w for {w!r}"
+        check(is_closed(cw), f"inverse Cartier output not closed: {w!r}")
+        check(cartier(cw) == w, f"C(C^-1(w)) != w for {w!r}")
 
 
 def prop_forms_cartier_kills_exact(rng, cases):
     for _ in range(cases):
         k = rand_context(rng)
         eta = rand_form(rng, k, rng.randint(0, 2))
-        assert cartier(d(eta)).is_zero(), f"C(d(eta)) != 0 for {eta!r}"
+        check(cartier(d(eta)).is_zero(), f"C(d(eta)) != 0 for {eta!r}")
 
 
 def prop_forms_leibniz(rng, cases):
@@ -142,7 +148,7 @@ def prop_forms_leibniz(rng, cases):
         w = rand_form(rng, k, rng.randint(0, 2))
         lhs = d(w.times_poly(fpoly))
         rhs = wedge(d(DiffForm.from_poly(fpoly)), w) + d(w).times_poly(fpoly)
-        assert lhs == rhs, f"Leibniz failed for f={fpoly!r}, w={w!r}"
+        check(lhs == rhs, f"Leibniz failed for f={fpoly!r}, w={w!r}")
 
 
 def prop_forms_chain_inclusions(rng, cases):
@@ -151,12 +157,12 @@ def prop_forms_chain_inclusions(rng, cases):
         q = rng.randint(0, 3)
         s = rng.randint(0, 3)
         b = _rand_b_member(rng, k, q, max(s, 1))
-        assert in_B(b, max(s, 1))
-        assert in_B(b, max(s, 1) + 1), "B_s not inside B_{s+1}"
-        assert in_Z(b, s), "B member escaped Z at the same level"
+        check(in_B(b, max(s, 1)))
+        check(in_B(b, max(s, 1) + 1), "B_s not inside B_{s+1}")
+        check(in_Z(b, s), "B member escaped Z at the same level")
         z = inv_cartier_iter(rand_form(rng, k, q), s + 1)
-        assert in_Z(z, s + 1)
-        assert in_Z(z, s), "Z_{s+1} not inside Z_s"
+        check(in_Z(z, s + 1))
+        check(in_Z(z, s), "Z_{s+1} not inside Z_s")
 
 
 def prop_forms_koszul_exactness(rng, cases):
@@ -173,11 +179,11 @@ def prop_forms_koszul_exactness(rng, cases):
         rank_in = rank_of(k.fq, koszul_matrix(k, alpha, q))
         rank_out = rank_of(k.fq, koszul_matrix(k, alpha, q + 1))
         n = len(subsets_of(k.r, q))
-        assert rank_in + rank_out == n, (
-            f"Koszul complex not exact at alpha={alpha}, q={q}")
+        check(rank_in + rank_out == n,
+              f"Koszul complex not exact at alpha={alpha}, q={q}")
         bdim = len(subspace_basis(k, alpha, q, B_KIND, 1))
         zdim = len(subspace_basis(k, alpha, q, Z_KIND, 1))
-        assert bdim == zdim == rank_in, "tower slices disagree with the ranks"
+        check(bdim == zdim == rank_in, "tower slices disagree with the ranks")
 
 
 def prop_forms_nf_membership(rng, cases):
@@ -188,13 +194,13 @@ def prop_forms_nf_membership(rng, cases):
         w = rand_form(rng, k, q)
         for kind, member in ((B_KIND, in_B), (Z_KIND, in_Z)):
             zero_nf = nf_mod(w, kind, s).is_zero()
-            assert zero_nf == member(w, s), (
-                f"nf_mod and membership disagree: kind={kind}, s={s}, w={w!r}")
+            check(zero_nf == member(w, s),
+                  f"nf_mod and membership disagree: kind={kind}, s={s}, w={w!r}")
         if s >= 1:
             b = _rand_b_member(rng, k, q, s)
-            assert nf_mod(b, B_KIND, s).is_zero()
+            check(nf_mod(b, B_KIND, s).is_zero())
             z = inv_cartier_iter(rand_form(rng, k, q), s)
-            assert nf_mod(z, Z_KIND, s).is_zero()
+            check(nf_mod(z, Z_KIND, s).is_zero())
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +215,8 @@ def prop_graded_theta_image_zero(rng, cases):
         if desc.branch != "theta":
             continue
         pair = theta(params, m, rand_form(rng, params.kctx, params.q - 2))
-        assert is_zero(desc.element(*pair)), (
-            f"theta image not killed: params={params!r}, m={m}")
+        check(is_zero(desc.element(*pair)),
+              f"theta image not killed: params={params!r}, m={m}")
         done += 1
 
 
@@ -226,8 +232,8 @@ def prop_graded_ac_relations_zero(rng, cases):
         rel1 = one_plus_ac(params, z1)
         z2 = make_z_tower_element(k, rand_form(rng, k, params.q - 2), desc.z_level)
         rel2 = one_plus_ac(params, z2)
-        assert is_zero(desc.element(rel1, rel2)), (
-            f"(1+aC)Z element not killed: params={params!r}, m={m}")
+        check(is_zero(desc.element(rel1, rel2)),
+              f"(1+aC)Z element not killed: params={params!r}, m={m}")
         done += 1
 
 
@@ -240,7 +246,7 @@ def prop_graded_reduce_idempotent(rng, cases):
         el = desc.element(rand_form(rng, params.kctx, params.q - 1),
                           rand_form(rng, params.kctx, params.q - 2))
         r1 = reduce(el)
-        assert reduce(r1) == r1, f"reduce not idempotent: params={params!r}, m={m}"
+        check(reduce(r1) == r1, f"reduce not idempotent: params={params!r}, m={m}")
         done += 1
 
 
@@ -270,8 +276,8 @@ def prop_graded_reduce_coset_constant(rng, cases):
         else:
             rel = desc.element(rand_form(rng, k, params.q - 1),
                                rand_form(rng, k, params.q - 2))
-        assert reduce(el + rel) == reduce(el), (
-            f"reduce not coset-constant: params={params!r}, m={m}, branch={desc.branch}")
+        check(reduce(el + rel) == reduce(el), f"reduce not coset-constant: "
+              f"params={params!r}, m={m}, branch={desc.branch}")
         done += 1
 
 
@@ -294,7 +300,10 @@ PROPERTIES = [
 
 
 def run_selftest(seed=7, cases=50):
-    """Run every property with its own seeded rng; returns (ok, results)."""
+    """Run every property with its own seeded rng; returns (ok, results).
+
+    A property fails on any exception it raises, not only on a failed check.
+    """
     import random
 
     results = []
@@ -304,7 +313,7 @@ def run_selftest(seed=7, cases=50):
         try:
             fn(rng, cases)
             results.append((name, True, ""))
-        except AssertionError as exc:
-            results.append((name, False, str(exc)))
+        except Exception as exc:
+            results.append((name, False, f"{type(exc).__name__}: {exc}"))
             ok = False
     return ok, results

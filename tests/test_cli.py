@@ -1,7 +1,15 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from grmk import cli
+from grmk.forms import NotClosed
 from grmk.selftest import PROPERTIES
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -214,3 +222,46 @@ class TestSelftest:
         assert code == 1
         assert "property: mutation.broken" in out
         assert "status: FAIL" in out and "deliberately broken" in out
+
+    def test_any_exception_is_a_failure(self, capsys, monkeypatch):
+        def crashes(rng, cases):
+            raise NotClosed("not closed")
+
+        monkeypatch.setattr("grmk.selftest.PROPERTIES",
+                            [("mutation.crashes", crashes)])
+        code, out, _ = run_cli(capsys, "selftest", "--cases", "2")
+        assert code == 1
+        assert "status: FAIL" in out and "detail: NotClosed: not closed" in out
+
+    def test_broken_operator_fails_under_optimize(self):
+        # d replaced by the identity: d(d(w)) = w must fail even with -O
+        script = ("import sys; import grmk.selftest as st; from grmk import cli; "
+                  "st.d = lambda w: w; "
+                  "sys.exit(cli.main(['selftest', '--cases', '5']))")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        assert "property: forms.dd_zero\nstatus: FAIL" in proc.stdout
+        assert "all_ok: no" in proc.stdout
+
+
+FORMAT_CASES = {
+    "gr": ["gr", "--p", "2", "--r", "1", "--e", "2", "--n", "2", "--q", "2",
+           "--a", "1", "--m", "4", "--deg-window", "1"],
+    "reduce": ["reduce", *BASE, "--m", "4", "--w1", "1"],
+    "symbol": ["symbol", "--p", "2", "--r", "1", "--e", "2", "--n", "2",
+               "--q", "2", "--a", "1", "--symbol", "{1+pi^2*(t1^1);pi}"],
+    "shift-check": ["shift-check", *BASE, "--m", "5"],
+    "selftest": ["selftest", "--cases", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(FORMAT_CASES))
+def test_text_and_machine_formats_identical(capsys, command):
+    outs = []
+    for fmt in ("text", "machine"):
+        code, out, _ = run_cli(capsys, *FORMAT_CASES[command], "--format", fmt)
+        outs.append((code, out))
+    assert outs[0] == outs[1]
+    assert outs[0][1].startswith("format: grmk.v1\n")

@@ -200,6 +200,36 @@ class TestSubspaceBasis:
         assert len(subspace_basis(k, (4, 0), 1, Z_KIND, 2)) == \
             len(subspace_basis(k, (1, 0), 1, Z_KIND, 0))
 
+    @staticmethod
+    def _random_slices(seed, count):
+        rng = random.Random(seed)
+        for _ in range(count):
+            k = ctx(*rng.choice([(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]),
+                    r=rng.randint(0, 3))
+            alpha = tuple(rng.choice([0, 1, -1, 2, 3, -4, 6, 9]) for _ in range(k.r))
+            yield (k, alpha, rng.randint(0, k.r), rng.choice([B_KIND, Z_KIND]),
+                   rng.randint(0, 3))
+
+    def test_rows_are_reduced_echelon(self):
+        for k, alpha, q, kind, s in self._random_slices(15, 300):
+            rows = subspace_basis(k, alpha, q, kind, s)
+            pivots = [min(row) for row in rows]
+            assert pivots == sorted(set(pivots))
+            for row, piv in zip(rows, pivots):
+                assert row[piv] == 1
+                assert all(0 <= c < len(subsets_of(k.r, q)) and v
+                           for c, v in row.items())
+                assert all(c not in row for c in pivots if c != piv)
+
+    def test_frobenius_lift_is_entrywise(self):
+        for k, alpha, q, kind, s in self._random_slices(16, 300):
+            if s == 0:
+                continue
+            lifted = subspace_basis(k, tuple(k.p * x for x in alpha), q, kind, s)
+            base = subspace_basis(k, alpha, q, kind, s - 1)
+            assert lifted == [{c: k.fq.frob(v) for c, v in row.items()}
+                              for row in base]
+
 
 class TestNfMod:
     def test_exact_forms_die_mod_b1(self):

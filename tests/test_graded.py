@@ -3,7 +3,7 @@ import random
 import pytest
 
 from grmk.ffield import KContext, LaurentPoly
-from grmk.forms import DiffForm, d, format_form, inv_cartier_iter
+from grmk.forms import DiffForm, d, format_form, inv_cartier_iter, parse_form
 from grmk.graded import (CASE_I, CASE_II, CASE_III, OUT_OF_RANGE, PRIME,
                          CDVFParams, CoefficientNotIntegral, MalformedSymbol,
                          OutOfRangeLevel, PreconditionViolated, SymbolExpr,
@@ -325,6 +325,27 @@ class TestParameterSweep:
                             assert is_zero(el)
                         count += 1
         assert count > 400
+
+
+class TestElementEquality:
+    def test_equal_forms_at_different_levels_differ(self):
+        P = params_q2i(r=1)
+        w = parse_form(P.kctx, 0, "t1^1")
+        assert descriptor(P, 3).element(w) != descriptor(P, 5).element(w)
+
+    def test_same_level_equal_only_over_same_params(self):
+        P = params_q2i(r=1)
+        w = parse_form(P.kctx, 0, "t1^1")
+        assert descriptor(P, 3).element(w) == descriptor(P, 3).element(w)
+        assert descriptor(P, 3).element(w) != descriptor(params_q2i(r=1), 3).element(w)
+
+
+class TestZTowerElement:
+    def test_check_raises_when_tower_left(self, monkeypatch):
+        k = KContext(2, 1, 1)
+        monkeypatch.setattr("grmk.graded.inv_cartier_iter", lambda w, s: w)
+        with pytest.raises(AssertionError):
+            make_z_tower_element(k, DiffForm.from_poly(k.var(1)), 1)
 
 
 class TestShiftConsistency:
