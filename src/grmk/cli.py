@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from . import graded, oracle, reports
-from .ffield import ParseError
+from .ffield import ExponentOverflow, ParseError
 from .forms import parse_form
 from .graded import (CDVFParams, MalformedSymbol, OutOfRangeLevel,
                      PreconditionViolated, WindowOverflow, descriptor,
@@ -176,8 +176,8 @@ def build_parser():
     return parser
 
 
-USAGE_ERRORS = (ValueError, ParseError, OutOfRangeLevel, MalformedSymbol,
-                PreconditionViolated, oracle.NotEisenstein,
+USAGE_ERRORS = (ValueError, ParseError, ExponentOverflow, OutOfRangeLevel,
+                MalformedSymbol, PreconditionViolated, oracle.NotEisenstein,
                 oracle.ParamsMismatch, FileNotFoundError)
 RUNTIME_ERRORS = (WindowOverflow, oracle.TooLarge)
 

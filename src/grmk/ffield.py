@@ -247,6 +247,8 @@ class KContext:
         self.p = p
         self.f = f
         self.r = r
+        # (alpha mod p, q) -> Koszul slice data, filled by forms.koszul_slice
+        self.koszul_memo = {}
 
     def zero(self):
         return LaurentPoly(self, {})

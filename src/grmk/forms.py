@@ -25,6 +25,11 @@ degree-alpha slices.  `subspace_basis` realizes every tower statement per
 slice as sparse reduced-row-echelon rows over the q-subsets; those rows back
 the normal forms of `nf_mod` and the relation spaces of the graded module.
 
+On a slice with alpha not divisible by p the tower image is the image of the
+Koszul map (alpha ^ -), whose entries read alpha only through alpha mod p.
+Each KContext therefore memoizes the Koszul columns and their echelon rows
+on (alpha mod p, q): at most p^r * (r+1) entries, filled on first use.
+
 Degrees q < 0 and q > r denote the zero module; operations accept them and
 return zero.
 
@@ -39,6 +44,7 @@ parse o print is the identity on canonical forms.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .ffield import ContextMismatch, LaurentPoly, ParseError, parse_element
@@ -52,11 +58,12 @@ class NotClosed(Exception):
     pass
 
 
+@functools.lru_cache(maxsize=None)
 def subsets_of(r, q):
-    """All sorted q-subsets of {1..r} in lexicographic order."""
+    """All sorted q-subsets of {1..r} in lexicographic order, as a tuple."""
     if q < 0 or q > r:
-        return []
-    return [tuple(s) for s in itertools.combinations(range(1, r + 1), q)]
+        return ()
+    return tuple(itertools.combinations(range(1, r + 1), q))
 
 
 def _insert_sign(i, subset):
@@ -349,6 +356,25 @@ def koszul_matrix(kctx, alpha, q):
     return cols
 
 
+def koszul_slice(kctx, alpha, q):
+    """Koszul columns at (alpha, q) and the reduced echelon rows of their span.
+
+    Both depend on alpha only through alpha mod p, so they are memoized per
+    context on (alpha mod p, q).  The returned lists and dicts are shared:
+    callers must not modify them.
+    """
+    key = (tuple(x % kctx.p for x in alpha), q)
+    hit = kctx.koszul_memo.get(key)
+    if hit is None:
+        cols = koszul_matrix(kctx, alpha, q)
+        space = RowSpace(kctx.fq)
+        for col in cols:
+            space.add(col)
+        rows = [space.rows[piv] for piv in space.pivots()]
+        hit = kctx.koszul_memo[key] = (cols, rows)
+    return hit
+
+
 def subspace_basis(kctx, alpha, q, kind, s):
     """Reduced-row-echelon basis of the alpha-slice of B_s^q or Z_s^q.
 
@@ -358,8 +384,10 @@ def subspace_basis(kctx, alpha, q, kind, s):
     fresh dicts the caller may modify.
 
     For alpha not divisible by p the slice's B_1 equals its Z_1 (Koszul
-    exactness), and all tower groups between them share that image; for
-    alpha = p*beta the slice is the entrywise Frobenius of the slice at beta.
+    exactness), and all tower groups between them share that image.  That
+    image depends only on alpha mod p and is copied out of the context's
+    memo (`koszul_slice`, at most p^r * (r+1) entries).  For alpha = p*beta
+    the slice is the entrywise Frobenius of the slice at beta.
     Frobenius is a field automorphism fixing 0 and 1, so it carries a reduced
     echelon basis to a reduced echelon basis and no elimination is needed.
     """
@@ -374,10 +402,7 @@ def subspace_basis(kctx, alpha, q, kind, s):
         return [{i: 1} for i in range(n)]
     p = kctx.p
     if any(x % p for x in alpha):
-        space = RowSpace(kctx.fq)
-        for col in koszul_matrix(kctx, alpha, q):
-            space.add(col)
-        return [space.rows[piv] for piv in space.pivots()]
+        return [dict(row) for row in koszul_slice(kctx, alpha, q)[1]]
     frob = kctx.fq.frob
     beta = tuple(x // p for x in alpha)
     return [{i: frob(c) for i, c in row.items()}

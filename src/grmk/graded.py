@@ -36,8 +36,9 @@ import math
 import re
 
 from .ffield import FqContext, KContext, LaurentPoly, parse_element
-from .forms import (B_KIND, Z_KIND, DiffForm, cartier, d, format_form, in_Z,
-                    inv_cartier_iter, subsets_of, subspace_basis, wedge)
+from .forms import (B_KIND, Z_KIND, DiffForm, NotClosed, cartier, d,
+                    format_form, in_Z, inv_cartier_iter, koszul_slice,
+                    subsets_of, subspace_basis, wedge)
 from .linalg import RowSpace
 
 CASE_I = "I"
@@ -108,6 +109,8 @@ class CDVFParams:
         self.n = n
         self.q = q
         self.a = a
+        # scalars of the Case II relation spaces, which are GF(p)-linear
+        self.fp = kctx.fq if f == 1 else FqContext(p, 1)
 
     @property
     def e0(self):
@@ -322,10 +325,16 @@ def _theta_vec(columns, sl1, sl2):
 
 
 def _theta_relation_space(desc, beta, subs1, subs2):
+    # Case I relations at slice beta: the rows of B_s at beta in both slots,
+    # and, when beta = p^s alpha, one row theta(t^alpha dlog S) per S in subs2:
+    #   first slot   C^{-s} d(t^alpha dlog S) = sum_T frob^s(K[T, S]) t^beta dlog T
+    #   second slot  C^{-s}(lam t^alpha dlog S) = lam frob^s(1) t^beta dlog S
+    # with K the Koszul columns at (alpha, q-1), whose rows are subs1 and whose
+    # columns are subs2.  K's entries, lam and 1 lie in GF(p), which frob
+    # fixes, so the row is K's column of S with lam appended.
     params = desc.params
     kctx = params.kctx
-    columns = _theta_columns(subs1, subs2)
-    col2 = columns[1]
+    col2 = _theta_columns(subs1, subs2)[1]
     rows = subspace_basis(kctx, beta, params.q - 1, B_KIND, desc.b_level)
     rows += [{col2[subs2[i]]: c for i, c in row.items()}
              for row in subspace_basis(kctx, beta, params.q - 2, B_KIND, desc.b_level)]
@@ -333,11 +342,11 @@ def _theta_relation_space(desc, beta, subs1, subs2):
     ps = params.p ** desc.b_level
     if all(x % ps == 0 for x in beta):
         alpha = tuple(x // ps for x in beta)
-        for sub in subs2:
-            w = DiffForm.monomial(kctx, alpha, sub)
-            t1, t2 = _theta_pair(params, desc.b_level, desc.theta_coeff, w)
-            vec = _theta_vec(columns, t1.components().get(beta, {}),
-                             t2.components().get(beta, {}))
+        lam = desc.theta_coeff
+        for sub, col in zip(subs2, koszul_slice(kctx, alpha, params.q - 1)[0]):
+            vec = dict(col)
+            if lam:
+                vec[col2[sub]] = lam
             if vec:
                 space.add(vec)
     return space
@@ -444,25 +453,81 @@ def _ac_relation_space(desc, deg, slices):
 
     Also returns the deg-subsets, their count and each slice's column block.
     """
+    # A row z = sum_i c_i t^gamma dlog S_i of the Z-slice at gamma, times the
+    # basis power x^l of GF(p^f), gives the relation (1+aC)(x^l z) with codes
+    #   x^l c_i                          at (gamma, S_i)
+    #   a_delta frob^{-1}(x^l c_i)       at (gamma/p + delta, S_i), if p | gamma
+    # for each term a_delta t^delta of a (C drops z when p does not divide
+    # gamma).  Codes are summed before their base-p digits are laid out, at
+    # column (slice * nsub + i) * f + digit, since gamma/p + delta can be
+    # gamma itself.
     params = desc.params
     kctx = params.kctx
-    subs = subsets_of(kctx.r, deg)
+    fq = kctx.fq
+    p, f, r = params.p, params.f, params.r
+    subs = subsets_of(r, deg)
     nsub = len(subs)
     slice_pos = {g: i for i, g in enumerate(slices)}
-    space = RowSpace(FqContext(params.p, 1))
+    space = RowSpace(params.fp)
     if nsub == 0:
         return space, subs, nsub, slice_pos
+    shifts = sorted(params.a.terms.items())
+    powers = [p ** l for l in range(f)]
     for gamma in slices:
-        for row in subspace_basis(kctx, gamma, deg, Z_KIND, desc.z_level):
-            sl = {subs[i]: c for i, c in row.items()}
-            z0 = DiffForm.from_components(kctx, deg, {gamma: sl})
-            for l in range(params.f):
-                z = z0 if l == 0 else z0.scale(params.p ** l)
-                g = one_plus_ac(params, z)
-                if any(s not in slice_pos for s in g.components()):
+        rows = subspace_basis(kctx, gamma, deg, Z_KIND, desc.z_level)
+        if not rows:
+            continue
+        base = slice_pos[gamma] * nsub
+        targets = []
+        d_cols = None
+        if any(x % p for x in gamma):
+            if deg < r:
+                d_cols = koszul_slice(kctx, gamma, deg + 1)[0]
+        else:
+            for delta, a_code in shifts:
+                pos = slice_pos.get(tuple(x // p + dx for x, dx in zip(gamma, delta)))
+                if pos is None:
                     raise AssertionError("relation image escaped the closed window")
-                space.add(_flatten_form(params, g, subs, slice_pos, nsub))
+                targets.append((pos * nsub, a_code))
+        for row in rows:
+            if d_cols is not None and not _closed_in_slice(fq, row, d_cols):
+                raise NotClosed("the Cartier operator is only defined on closed forms")
+            for xl in powers:
+                acc = {}
+                for i, c in row.items():
+                    c = fq.mul(c, xl)
+                    acc[base + i] = c  # targets reach column base + i only later
+                    if targets:
+                        root = fq.frob_inv(c)
+                        for tbase, a_code in targets:
+                            k = tbase + i
+                            acc[k] = fq.add(acc.get(k, 0), fq.mul(a_code, root))
+                space.add(_digit_vec(acc, p, f))
     return space, subs, nsub, slice_pos
+
+
+def _closed_in_slice(fq, row, d_cols):
+    """Whether d kills the slice vector row, given d's Koszul columns there."""
+    out = {}
+    for i, c in row.items():
+        for j, v in d_cols[i].items():
+            out[j] = fq.add(out.get(j, 0), fq.mul(c, v))
+    return not any(out.values())
+
+
+def _digit_vec(acc, p, f):
+    """GF(p) vector of GF(p^f) codes keyed by k: digit l of code at k*f + l."""
+    if f == 1:
+        return {k: c for k, c in acc.items() if c}
+    vec = {}
+    for k, c in acc.items():
+        col = k * f
+        while c:
+            c, digit = divmod(c, p)
+            if digit:
+                vec[col] = digit
+            col += 1
+    return vec
 
 
 def _reduce_ac_slot(desc, w, deg):

@@ -177,3 +177,40 @@ def test_criterion_8_determinism(capsys, fixtures_dir):
     assert out3.encode() == out4.encode()
     with capsys.disabled():
         print("\nPASS criterion 8: byte-identical machine output across reruns")
+
+
+# fields with mu_{p^n} inside K for n up to the given level
+MU_FIXTURES = [
+    ("q2_gaussian.field", 2),
+    ("q3_zeta3.field", 1),
+    ("q2_zeta8.field", 3),
+    ("q3_zeta9.field", 2),
+]
+
+
+def _global_orders(poly, n, a_code):
+    """prod_m |gr^m K_q/p^n| over all levels, for q = 1 and q = 2 at r = 0."""
+    out = []
+    for q in (1, 2):
+        params = CDVFParams(poly.p, poly.f, 0, poly.e, n, q, str(a_code))
+        out.append(math.prod(graded_order(descriptor(params, m))
+                             for m in range(1, _c_n(poly, n) + 1)))
+    return out
+
+
+def test_criterion_9_closed_form_global_identities(fixtures_dir):
+    # with mu_{p^n} in K: |U^1/(U^1)^{p^n}| = p^{nef} p^n for K_1, and
+    # K_2(K)/p^n = mu_{p^n} (Moore) for K_2; no brute force involved
+    checked = []
+    for name, top in MU_FIXTURES:
+        poly = load_fixture(fixtures_dir / name)
+        a_code = build_field(poly, _c_n(poly, 1) + 1).a_residue()
+        for n in range(1, top + 1):
+            k1, k2 = _global_orders(poly, n, a_code)
+            assert k1 == poly.p ** (n * poly.e * poly.f) * poly.p ** n, (name, n, k1)
+            assert k2 == poly.p ** n, (name, n, k2)
+            checked.append((name, n))
+    # Q_3(zeta_9) at n = 2 is past the brute-force enumeration cap
+    poly = load_fixture(fixtures_dir / "q3_zeta9.field")
+    assert _global_orders(poly, 2, 2) == [4_782_969, 9]
+    print(f"PASS criterion 9: global K_1 and K_2 identities on {checked}")

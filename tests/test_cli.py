@@ -114,6 +114,21 @@ class TestReduce:
         code, _, err = run_cli(capsys, "reduce", *BASE, "--m", "5", "--w1", "t9^1")
         assert code == 2 and "error:" in err
 
+    def test_exponent_overflow_is_a_usage_error(self):
+        # 2^40 + 1 is past the exponent bound: one error line, exit 2
+        argv = ["reduce", "--p", "2", "--r", "2", "--e", "4", "--n", "2",
+                "--q", "2", "--a", "t1^1", "--m", "8",
+                "--w1", "t1^1099511627777*dlog[1]"]
+        script = f"import sys; from grmk import cli; sys.exit(cli.main({argv!r}))"
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
 
 class TestSymbol:
     def test_q1(self, capsys):

@@ -231,6 +231,43 @@ class TestSubspaceBasis:
                               for row in base]
 
 
+    def test_rows_are_fresh(self):
+        # mutating returned rows must not reach the context's memo
+        k = ctx(p=3, r=3)
+        alpha = (1, 2, 0)
+        first = subspace_basis(k, alpha, 2, Z_KIND, 1)
+        want = [dict(row) for row in first]
+        for row in first:
+            row[0] = 2
+            row.pop(min(row), None)
+        first.clear()
+        assert subspace_basis(k, alpha, 2, Z_KIND, 1) == want
+        lifted = subspace_basis(k, (3, 6, 0), 2, Z_KIND, 2)
+        for row in lifted:
+            row.clear()
+        assert subspace_basis(k, (3, 6, 0), 2, Z_KIND, 2) == want
+
+    def test_koszul_slice_depends_on_alpha_mod_p(self):
+        rng = random.Random(19)
+        for p, r in [(2, 3), (3, 2), (5, 1)]:
+            k = ctx(p=p, r=r)
+            for _ in range(40):
+                alpha = tuple(rng.randint(-9, 9) for _ in range(r))
+                if not any(x % p for x in alpha):
+                    continue
+                q = rng.randint(0, r)
+                shifted = tuple(x + p * rng.randint(-3, 3) for x in alpha)
+                fresh = ctx(p=p, r=r)
+                assert subspace_basis(k, shifted, q, B_KIND, 1) == \
+                    subspace_basis(fresh, alpha, q, Z_KIND, 2)
+            assert len(k.koszul_memo) <= p ** r * (r + 1)
+
+    def test_subsets_of_is_a_shared_tuple(self):
+        assert subsets_of(3, 2) == ((1, 2), (1, 3), (2, 3))
+        assert subsets_of(3, 2) is subsets_of(3, 2)
+        assert subsets_of(2, 3) == () and subsets_of(2, -1) == ()
+
+
 class TestNfMod:
     def test_exact_forms_die_mod_b1(self):
         rng = random.Random(14)

@@ -3,14 +3,19 @@ import random
 import pytest
 
 from grmk.ffield import KContext, LaurentPoly
-from grmk.forms import DiffForm, d, format_form, inv_cartier_iter, parse_form
+from grmk.forms import (B_KIND, Z_KIND, DiffForm, NotClosed, d, format_form,
+                        inv_cartier_iter, parse_form, subsets_of, subspace_basis)
 from grmk.graded import (CASE_I, CASE_II, CASE_III, OUT_OF_RANGE, PRIME,
                          CDVFParams, CoefficientNotIntegral, MalformedSymbol,
                          OutOfRangeLevel, PreconditionViolated, SymbolExpr,
-                         WindowOverflow, classify, descriptor, format_symbol,
-                         graded_order, is_zero, level_shift_consistency,
-                         make_z_tower_element, one_plus_ac, parse_symbol,
-                         reduce, symbol_to_forms, theta)
+                         WindowOverflow, _ac_relation_space, _ac_window,
+                         _flatten_form, _theta_columns, _theta_pair,
+                         _theta_relation_space, _theta_vec, classify,
+                         descriptor, format_symbol, graded_order, is_zero,
+                         level_shift_consistency, make_z_tower_element,
+                         one_plus_ac, parse_symbol, reduce, symbol_to_forms,
+                         theta)
+from grmk.linalg import RowSpace
 from grmk.selftest import rand_form
 
 
@@ -115,6 +120,142 @@ class TestOnePlusAC:
         P = params_q2i()
         one = DiffForm.from_poly(P.kctx.one())
         assert one_plus_ac(P, one).is_zero()
+
+
+class _RecordingSpace(RowSpace):
+    """A RowSpace that keeps a copy of every vector passed to add."""
+
+    def __init__(self, fq):
+        super().__init__(fq)
+        self.added = []
+
+    def add(self, vec):
+        self.added.append(dict(vec))
+        return super().add(vec)
+
+
+def _ac_rows_by_forms(desc, deg, slices):
+    """The (1+aC) rows built from forms: flatten one_plus_ac(x^l z)."""
+    params = desc.params
+    kctx = params.kctx
+    subs = subsets_of(kctx.r, deg)
+    slice_pos = {g: i for i, g in enumerate(slices)}
+    vecs = []
+    for gamma in slices:
+        for row in subspace_basis(kctx, gamma, deg, Z_KIND, desc.z_level):
+            z = DiffForm.from_components(
+                kctx, deg, {gamma: {subs[i]: c for i, c in row.items()}})
+            for l in range(params.f):
+                g = one_plus_ac(params, z.scale(params.p ** l))
+                vecs.append(_flatten_form(params, g, subs, slice_pos, len(subs)))
+    return vecs
+
+
+def _theta_rows_by_forms(desc, beta, subs1, subs2):
+    """The theta rows built from forms: _theta_pair on t^alpha dlog S."""
+    params = desc.params
+    ps = params.p ** desc.b_level
+    if any(x % ps for x in beta):
+        return []
+    alpha = tuple(x // ps for x in beta)
+    columns = _theta_columns(subs1, subs2)
+    vecs = []
+    for sub in subs2:
+        w = DiffForm.monomial(params.kctx, alpha, sub)
+        t1, t2 = _theta_pair(params, desc.b_level, desc.theta_coeff, w)
+        vec = _theta_vec(columns, t1.components().get(beta, {}),
+                         t2.components().get(beta, {}))
+        if vec:
+            vecs.append(vec)
+    return vecs
+
+
+# (p, f, e, n) with p^(n-1)(p-1) | e, and a values by residue degree f
+_ROW_FIELDS = [(2, 1, 2, 2), (2, 1, 4, 3), (3, 1, 6, 2), (2, 2, 4, 3),
+               (3, 2, 6, 2)]
+_ROW_AS = {1: ["1", "t1^1", "1+t1^1", "t1^-1+t2^1", "1+t1^1+t3^-1"],
+           2: ["1", "g^1*t1^1", "g^1+t1^-1", "1+g^2*t2^1+t3^-1"]}
+
+
+def _random_row_params(rng, r):
+    p, f, e, n = rng.choice(_ROW_FIELDS)
+    a = rng.choice([a for a in _ROW_AS[f] if all(f"t{i}" not in a
+                                                 for i in range(r + 1, 4))])
+    return CDVFParams(p, f, r, e, n, rng.randint(1, r + 1), a)
+
+
+class TestRelationRows:
+    # the coordinate builders add the same vectors, in the same order, as
+    # the construction through DiffForm, d, C and _flatten_form
+
+    def test_ac_rows_match_forms(self, monkeypatch):
+        monkeypatch.setattr("grmk.graded.RowSpace", _RecordingSpace)
+        rng = random.Random(41)
+        seen = set()
+        for _ in range(40):
+            r = rng.randint(1, 3)
+            P = _random_row_params(rng, r)
+            levels = [P.threshold(i) for i in range(1, P.n + 1)]
+            desc = descriptor(P, rng.choice(levels))
+            seeds = [tuple(rng.randint(-5, 5) for _ in range(r)) for _ in range(3)]
+            slices = _ac_window(P, seeds, desc.window_cap)
+            for deg in range(0, r + 1):
+                space = _ac_relation_space(desc, deg, slices)[0]
+                assert space.added == _ac_rows_by_forms(desc, deg, slices), (P, deg)
+            seen.add((P.p, P.f, r, len(P.a.terms) > 1))
+        assert {(p, f) for p, f, _, _ in seen} == {(2, 1), (3, 1), (2, 2), (3, 2)}
+        assert {r for _, _, r, _ in seen} == {1, 2, 3}
+        assert any(several for *_, several in seen)
+
+    def test_ac_rows_match_forms_on_a_fixed_slice(self, monkeypatch):
+        # a = 1 sends gamma = 0 to itself: both codes land on one column
+        monkeypatch.setattr("grmk.graded.RowSpace", _RecordingSpace)
+        for p, f, e, n in _ROW_FIELDS:
+            for r in (0, 1, 2):
+                P = CDVFParams(p, f, r, e, n, 1, "1")
+                desc = descriptor(P, P.threshold(1))
+                slices = [(0,) * r]
+                space = _ac_relation_space(desc, 0, slices)[0]
+                want = _ac_rows_by_forms(desc, 0, slices)
+                assert space.added == want and len(want) == f, (p, f, r)
+
+    def test_theta_rows_match_forms(self, monkeypatch):
+        monkeypatch.setattr("grmk.graded.RowSpace", _RecordingSpace)
+        rng = random.Random(42)
+        s_seen = set()
+        for _ in range(60):
+            r = rng.randint(1, 3)
+            P = _random_row_params(rng, r)
+            thetas = [m for m in range(1, P.threshold(P.n))
+                      if descriptor(P, m).branch == "theta"]
+            desc = descriptor(P, rng.choice(thetas))
+            subs1 = subsets_of(r, P.q - 1)
+            subs2 = subsets_of(r, P.q - 2)
+            ps = P.p ** desc.b_level
+            for _ in range(4):
+                beta = tuple(ps * rng.randint(-3, 3) for _ in range(r))
+                if rng.random() < 0.25:
+                    beta = tuple(x + rng.randint(0, 1) for x in beta)
+                space = _theta_relation_space(desc, beta, subs1, subs2)
+                assert space.added == _theta_rows_by_forms(desc, beta, subs1, subs2)
+            s_seen.add(desc.b_level)
+        assert {0, 1, 2} <= s_seen
+
+    def test_not_closed_row_raises(self, monkeypatch):
+        # t1 is not closed (d t1 = t1 dlog t1), so C, and 1+aC, reject it
+        P = CDVFParams(2, 1, 1, 2, 2, 1, "1")
+        desc = descriptor(P, 4)
+        monkeypatch.setattr("grmk.graded.subspace_basis",
+                            lambda kctx, alpha, q, kind, s: [{0: 1}])
+        with pytest.raises(NotClosed):
+            _ac_relation_space(desc, 0, [(0,), (1,)])
+
+    def test_escaped_window_raises(self):
+        # a = 1 contracts slice (2,) to (1,), which the window lacks
+        P = CDVFParams(2, 1, 1, 2, 2, 1, "1")
+        desc = descriptor(P, 4)
+        with pytest.raises(AssertionError, match="escaped the closed window"):
+            _ac_relation_space(desc, 0, [(2,)])
 
 
 class TestDescriptorOrders:
