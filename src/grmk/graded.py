@@ -402,6 +402,10 @@ def _ac_window(params, seed_slices, cap):
     shifts = sorted(params.a.terms)
     queue = list(window)
     while queue:
+        # checked once per slice taken: first the seeded window, then every
+        # slice the closure adds, since each added slice is queued
+        if len(window) > cap:
+            raise WindowOverflow(f"degree window exceeded the configured cap {cap}")
         gamma = queue.pop()
         if any(x % p for x in gamma):
             continue
@@ -410,9 +414,6 @@ def _ac_window(params, seed_slices, cap):
             if nxt not in window:
                 window.add(nxt)
                 queue.append(nxt)
-                if len(window) > cap:
-                    raise WindowOverflow(
-                        f"degree window exceeded the configured cap {cap}")
     # expansion-dominant order: larger sup-norm degrees come first, so every
     # relation generator pivots on the degree of its tower part
     return sorted(window, key=lambda g: (-max((abs(x) for x in g), default=0), g))
@@ -602,7 +603,13 @@ def _ac_dim_table(desc, box):
     return total
 
 
+def _check_radius(radius):
+    if radius < 0:
+        raise ValueError(f"the degree window radius must be at least 0, not {radius}")
+
+
 def _degree_box(r, radius):
+    _check_radius(radius)
     if r == 0:
         return [()]
     return sorted(itertools.product(range(-radius, radius + 1), repeat=r))
@@ -780,6 +787,7 @@ def _descriptors_shift_match(d_high, d_low):
 
 def level_shift_consistency(params, m, probes=(), radius=DEFAULT_TABLE_RADIUS,
                             window_cap=DEFAULT_WINDOW_CAP):
+    _check_radius(radius)
     if params.n <= 1:
         raise PreconditionViolated("the level shift needs n > 1")
     if m <= params.e + params.e0:

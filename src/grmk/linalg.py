@@ -2,8 +2,20 @@
 
 Rows and vectors are dicts mapping integer column indices to nonzero scalar
 codes; all scalar arithmetic goes through an FqContext.  Pivots are chosen
-smallest-column-first, and the basis is kept fully reduced, so `reduce` is a
-single ascending pass and canonical coset representatives are deterministic.
+smallest-column-first, and the basis is kept fully reduced: no row has a
+nonzero entry at another row's pivot.  The basis is therefore the unique
+reduced row echelon form of the span, and `reduce` is a single ascending
+pass: subtracting a row only writes to non-pivot columns, so no entry it
+creates ever needs a second look, and canonical coset representatives are
+deterministic.
+
+To keep full reduction cheap, `add` keeps a column index: each non-pivot
+column maps to the list of pivots whose rows are nonzero there.  A new pivot
+is then eliminated only from the rows the index names for its column, not
+from every row.  The index is built on the first `add`, over whatever rows
+are already there, so a space from `from_echelon` that is only used to
+`reduce` never builds it.  Its lists are short (most columns are held by one
+or two rows), and lists cost less memory than sets here.
 """
 
 from __future__ import annotations
@@ -13,6 +25,7 @@ class RowSpace:
     def __init__(self, fq):
         self.fq = fq
         self.rows = {}  # pivot column -> row dict with 1 at the pivot
+        self.holders = None  # non-pivot column -> pivots of rows nonzero there
 
     @classmethod
     def from_echelon(cls, fq, rows):
@@ -55,16 +68,34 @@ class RowSpace:
         piv = min(rem)
         inv = fq.inv(rem[piv])
         row = {c: fq.mul(v, inv) for c, v in rem.items()}
-        # keep the basis fully reduced: eliminate the new pivot everywhere
-        for other in self.rows.values():
-            c = other.get(piv, 0)
-            if c:
-                for rc, rv in row.items():
-                    s = fq.sub(other.get(rc, 0), fq.mul(c, rv))
-                    if s:
-                        other[rc] = s
-                    else:
-                        other.pop(rc, None)
+        holders = self.holders
+        if holders is None:
+            holders = self.holders = {}
+            for p, other in self.rows.items():
+                for rc in other:
+                    if rc != p:
+                        holders.setdefault(rc, []).append(p)
+        # keep the basis fully reduced: eliminate the new pivot from the rows
+        # that hold it.  The other columns of row are non-pivot columns, and
+        # each ends up indexed, since row itself is registered last.
+        for p in holders.pop(piv, ()):
+            other = self.rows[p]
+            c = other.pop(piv)
+            for rc, rv in row.items():
+                if rc == piv:
+                    continue
+                old = other.get(rc, 0)
+                s = fq.sub(old, fq.mul(c, rv))
+                if s:
+                    other[rc] = s
+                    if not old:
+                        holders.setdefault(rc, []).append(p)
+                else:
+                    del other[rc]
+                    holders[rc].remove(p)
+        for rc in row:
+            if rc != piv:
+                holders.setdefault(rc, []).append(piv)
         self.rows[piv] = row
         return piv
 
@@ -73,7 +104,7 @@ class RowSpace:
 
 
 def rank_of(fq, vectors):
-    """Rank of a list of sparse vectors; independent of RowSpace invariants."""
+    """Rank of a list of sparse vectors, by adding them to a fresh RowSpace."""
     space = RowSpace(fq)
     for v in vectors:
         space.add(v)

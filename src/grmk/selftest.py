@@ -306,6 +306,8 @@ def run_selftest(seed=7, cases=50):
     """
     import random
 
+    if cases < 1:
+        raise ValueError(f"selftest needs at least 1 case, not {cases}")
     results = []
     ok = True
     for name, fn in PROPERTIES:

@@ -52,6 +52,14 @@ class TestGr:
         assert "dim_units: GF(p)" in out
         assert "dim[0]: 1" in out
 
+    @pytest.mark.parametrize("command", ["gr", "shift-check"])
+    def test_negative_deg_window_is_a_usage_error(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--p", "2", "--r", "2", "--e", "2",
+                                 "--n", "2", "--q", "2", "--a", "t1^1", "--m", "6",
+                                 "--deg-window", "-1")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 GOLDEN_GR_M4 = """\
 format: grmk.v1
@@ -218,6 +226,12 @@ class TestSelftest:
         code, out, _ = run_cli(capsys, "selftest", "--cases", "5",
                                "--format", "machine")
         assert code == 0 and "all_ok: yes" in out
+
+    @pytest.mark.parametrize("cases", ["0", "-1"])
+    def test_cases_below_one_is_a_usage_error(self, capsys, cases):
+        code, out, err = run_cli(capsys, "selftest", "--cases", cases)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_seed_reproducibility(self, capsys):
         _, out1, _ = run_cli(capsys, "selftest", "--seed", "7", "--cases", "5",

@@ -359,6 +359,19 @@ class TestReduce:
         with pytest.raises(WindowOverflow):
             reduce(el)
 
+    def test_window_cap_applies_to_seeded_window(self):
+        # the seeded window for a = t1^1 closes on itself, so only a check of
+        # the seeded window itself can see the cap
+        P = CDVFParams(2, 1, 1, 2, 2, 1, "t1^1")
+        desc = descriptor(P, 4, window_cap=1)
+        assert desc.branch == "ac"
+        with pytest.raises(WindowOverflow):
+            graded_order(desc)
+        for cap in (0, -5):
+            with pytest.raises(WindowOverflow):
+                graded_order(descriptor(CDVFParams(2, 1, 0, 2, 2, 1, "1"), 4,
+                                        window_cap=cap))
+
     def test_reduce_idempotent_and_coset_constant(self):
         rng = random.Random(23)
         P = CDVFParams(2, 1, 1, 2, 2, 1, "1")
