@@ -86,9 +86,7 @@ def cmd_verify_q1(args):
     if N <= c_n:
         raise ValueError(f"cutoff N = {N} must exceed c_n = n*e + e_0 = {c_n}")
     ctx = oracle.build_field(poly, N)
-    a_code = ctx.a_residue()
-    params = CDVFParams(poly.p, poly.f, 0, poly.e, args.n, 1, str(a_code)
-                        if a_code < poly.p else f"g^{ctx.fq.glog(a_code)}")
+    params = CDVFParams(poly.p, poly.f, 0, poly.e, args.n, 1, str(ctx.a_residue()))
     table = oracle.unit_group(ctx, args.n, cap=args.cap)
     cmp_report = oracle.compare(ctx, params, table)
     # stabilization between cutoffs c_n + 1 and c_n + 3, reusing the table at N

@@ -598,6 +598,8 @@ def _ac_dim_table(desc, box):
             slice_idx = piv // (nsub * f)
             gamma = slices[slice_idx]
             pivots_by_slice[gamma] = pivots_by_slice.get(gamma, 0) + 1
+        # free this degree's space before the next one is built
+        del space
         for beta in box:
             total[beta] += f * nsub - pivots_by_slice.get(beta, 0)
     return total

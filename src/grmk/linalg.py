@@ -99,9 +99,6 @@ class RowSpace:
         self.rows[piv] = row
         return piv
 
-    def contains(self, vec):
-        return not self.reduce(vec)
-
 
 def rank_of(fq, vectors):
     """Rank of a list of sparse vectors, by adding them to a fresh RowSpace."""

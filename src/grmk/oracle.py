@@ -1,11 +1,12 @@
 """Brute-force verification of the q = 1 graded quotients on concrete local
 fields.
 
-A field K is specified by an Eisenstein polynomial over the (unramified) base
-with residue degree f; its ring of integers is modeled exactly as
-O_K/(pi^N) with coefficient vectors of length e over a truncated base ring
-(precision p^M, M = ceil(N/e) + 2 guard digits, so products never lose
-valuation information before reduction).
+A field K is specified by an Eisenstein polynomial E with integer
+coefficients over the unramified extension of Q_p of degree f; its ring of
+integers is modeled exactly as O_K/(pi^N), one flat tuple of e*f integers per
+element (see `FieldContext` for the layout and the truncation rule).
+Products are formed over Z and truncated only after reduction, so no guard
+digits are needed.
 
 The finite group H = (1 + pi O_K)/(1 + pi^N O_K) is enumerated outright and
 the subgroup P of p^n-th powers is its image under u -> u^{p^n} (an
@@ -47,196 +48,13 @@ DEFAULT_ENUM_CAP = 1 << 22
 
 
 # ---------------------------------------------------------------------------
-# truncated base rings
-
-class PadicBase:
-    """Z/p^M; codes are integers in [0, p^M)."""
-
-    def __init__(self, p, M):
-        self.p = p
-        self.f = 1
-        self.M = M
-        self.mod = p ** M
-
-    def from_int(self, n):
-        return n % self.mod
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def add(self, a, b):
-        return (a + b) % self.mod
-
-    def sub(self, a, b):
-        return (a - b) % self.mod
-
-    def neg(self, a):
-        return (-a) % self.mod
-
-    def mul(self, a, b):
-        return (a * b) % self.mod
-
-    def vp(self, a):
-        if a == 0:
-            return self.M
-        v = 0
-        while a % self.p == 0:
-            a //= self.p
-            v += 1
-        return v
-
-    def div_p(self, a):
-        if a % self.p:
-            raise ValueError("not divisible by p")
-        return a // self.p
-
-    def unit_inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("not a unit in the base ring")
-        return pow(a, -1, self.mod)
-
-    def residue(self, a):
-        """Residue in GF(p^f), encoded as an FqContext code."""
-        return a % self.p
-
-    def lift_residue(self, code):
-        return code % self.p
-
-    def teichmuller(self, code):
-        x = self.lift_residue(code)
-        for _ in range(self.M + 1):
-            x = pow(x, self.p, self.mod)
-        return x
-
-    def residue_digits(self):
-        return list(range(self.p))
-
-    def truncate(self, a, k):
-        if k >= self.M:
-            return a
-        return a % (self.p ** k)
-
-
-class GaloisBase:
-    """(Z/p^M)[y]/(modulus lift); codes are tuples of f integers in [0, p^M)."""
-
-    def __init__(self, p, f, M, modulus):
-        self.p = p
-        self.f = f
-        self.M = M
-        self.mod = p ** M
-        self.fq = FqContext(p, f, modulus)
-        self.modulus = [c % self.mod for c in self.fq.modulus]
-
-    def from_int(self, n):
-        return (n % self.mod,) + (0,) * (self.f - 1)
-
-    def zero(self):
-        return (0,) * self.f
-
-    def one(self):
-        return self.from_int(1)
-
-    def add(self, a, b):
-        return tuple((x + y) % self.mod for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple((x - y) % self.mod for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple((-x) % self.mod for x in a)
-
-    def mul(self, a, b):
-        f = self.f
-        prod = [0] * (2 * f - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] = (prod[i + j] + x * y) % self.mod
-        for i in range(2 * f - 2, f - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(f):
-                    prod[i - f + j] = (prod[i - f + j] - c * self.modulus[j]) % self.mod
-        return tuple(prod[:f])
-
-    def vp(self, a):
-        v = self.M
-        for x in a:
-            if x:
-                vx = 0
-                while x % self.p == 0:
-                    x //= self.p
-                    vx += 1
-                v = min(v, vx)
-        return v
-
-    def div_p(self, a):
-        if any(x % self.p for x in a):
-            raise ValueError("not divisible by p")
-        return tuple(x // self.p for x in a)
-
-    def unit_inv(self, a):
-        if self.vp(a) > 0:
-            raise ZeroDivisionError("not a unit in the base ring")
-        y = self.lift_residue(self.fq.inv(self.residue(a)))
-        steps = max(1, math.ceil(math.log2(self.M)) + 1)
-        two = self.from_int(2)
-        for _ in range(steps):
-            y = self.mul(y, self.sub(two, self.mul(a, y)))
-        return y
-
-    def residue(self, a):
-        code = 0
-        for x in reversed(a):
-            code = code * self.p + (x % self.p)
-        return code
-
-    def lift_residue(self, code):
-        out = []
-        for _ in range(self.f):
-            out.append(code % self.p)
-            code //= self.p
-        return tuple(out)
-
-    def teichmuller(self, code):
-        x = self.lift_residue(code)
-        q = self.p ** self.f
-        for _ in range(self.M + 1):
-            y = x
-            e = q
-            acc = self.one()
-            while e:
-                if e & 1:
-                    acc = self.mul(acc, y)
-                e >>= 1
-                if e:
-                    y = self.mul(y, y)
-            x = acc
-        return x
-
-    def residue_digits(self):
-        return [t for t in itertools.product(range(self.p), repeat=self.f)]
-
-    def truncate(self, a, k):
-        if k >= self.M:
-            return a
-        pk = self.p ** k
-        return tuple(x % pk for x in a)
-
-
-# ---------------------------------------------------------------------------
 # the Eisenstein extension
 
 class EisensteinPoly:
-    """Monic degree-e polynomial over the base, Eisenstein at p.
+    """Monic degree-e polynomial over W(GF(p^f)), Eisenstein at p.
 
-    Integer coefficients (ascending, leading 1) embed into any base ring;
-    the Eisenstein condition -- constant term of p-valuation exactly 1, the
+    The coefficients are integers (ascending, leading 1); the Eisenstein
+    condition -- constant term of p-valuation exactly 1, the
     others of positive valuation -- is checked at construction.
     """
 
@@ -278,72 +96,89 @@ def load_fixture(path):
 class FieldContext:
     """Exact arithmetic in O_K/(pi^N) for K defined by an Eisenstein polynomial.
 
-    Elements are tuples of length e of base-ring codes (coefficients of
-    1, pi, ..., pi^{e-1}); reduction uses pi^e = -(c_0 + ... + c_{e-1} pi^{e-1}).
+    O_K = W[pi]/(E(pi)) with W = Z_p[y]/(g(y)), where g is the integer lift
+    of the residue field's modulus, so g = y and W = Z_p when f = 1.  An
+    element is one flat tuple of e*f integers: entry j*f + k holds the
+    coefficient of pi^j y^k.  Since a*pi^j lies in pi^N O_K exactly when
+    v_p(a) >= (N - j)/e, entry j*f + k is kept modulo p^ceil((N-j)/e), and
+    every class of O_K/(pi^N) has exactly one tuple.
+
+    `mul` forms the product over Z, reduces it by the monic g and then by
+    the monic E, and only then truncates; reduction modulo pi^N is a ring
+    homomorphism, so nothing is lost by truncating last.
     """
 
     def __init__(self, poly, N):
         if N < 2:
             raise ValueError("the cutoff N must be >= 2")
         self.poly = poly
-        self.p = poly.p
-        self.f = poly.f
-        self.e = poly.e
-        self.N = N
-        M = math.ceil(N / poly.e) + 2
-        self.M = M
-        if poly.f == 1:
-            self.base = PadicBase(poly.p, M)
-        else:
-            self.base = GaloisBase(poly.p, poly.f, M, poly.modulus)
-        self.cb = [self.base.from_int(c) for c in poly.coeffs[:-1]]
-        self._trunc = [math.ceil((N - j) / poly.e) for j in range(poly.e)]
-        self.fq = FqContext(poly.p, poly.f, poly.modulus)
+        p, f, e = poly.p, poly.f, poly.e
+        self.p, self.f, self.e, self.N = p, f, e, N
+        self.fq = FqContext(p, f, poly.modulus)
+        self._mods = tuple(p ** math.ceil((N - j) / e)
+                           for j in range(e) for _ in range(f))
+        # a product has pi-degree <= 2e-2 and y-degree <= 2f-2; the
+        # coefficient of pi^j y^k sits at j*s + k
+        s = 2 * f - 1
+        self._plen = (2 * e - 1) * s
+        self._dest = [[(ja + jb) * s + ka + kb
+                       for jb in range(e) for kb in range(f)]
+                      for ja in range(e) for ka in range(f)]
+        # reduction steps (pos, [(target, coeff)]): y^k with k >= f by g,
+        # highest first, then pi^j with j >= e by E, highest first
+        g = self.fq.modulus[:-1]
+        steps = [(j * s + k, [(j * s + k - f + t, c) for t, c in enumerate(g) if c])
+                 for j in range(2 * e - 1) for k in range(2 * f - 2, f - 1, -1)]
+        steps += [(j * s + k, [((j - e + t) * s + k, c)
+                               for t, c in enumerate(poly.coeffs[:-1]) if c])
+                  for j in range(2 * e - 2, e - 1, -1) for k in range(f)]
+        self._steps = steps
+        self._out = [j * s + k for j in range(e) for k in range(f)]
+        self._one = self.from_int(1)
 
     # -- element helpers
 
-    def zero(self):
-        return (self.base.zero(),) * self.e
-
     def one(self):
-        return self.canon((self.base.one(),) + (self.base.zero(),) * (self.e - 1))
+        return self._one
 
     def pi(self):
         if self.e == 1:
-            return self.canon((self.base.neg(self.cb[0]),))
-        return self.canon((self.base.zero(), self.base.one())
-                          + (self.base.zero(),) * (self.e - 2))
+            return self.from_int(-self.poly.coeffs[0])
+        return self.canon((0,) * self.f + (1,) + (0,) * (self.f * (self.e - 1) - 1))
 
     def from_int(self, n):
-        return self.canon((self.base.from_int(n),) + (self.base.zero(),) * (self.e - 1))
+        return self.canon((n,) + (0,) * (self.e * self.f - 1))
+
+    def lift(self, code):
+        """The element of W whose y-coefficients are the base-p digits of
+        an FqContext code; its residue is that code."""
+        digits = []
+        for _ in range(self.f):
+            code, d = divmod(code, self.p)
+            digits.append(d)
+        return self.canon(tuple(digits) + (0,) * (self.f * (self.e - 1)))
 
     def canon(self, vec):
-        return tuple(self.base.truncate(x, self._trunc[j]) for j, x in enumerate(vec))
+        return tuple(c % m for c, m in zip(vec, self._mods))
 
     def add(self, x, y):
-        return self.canon(tuple(self.base.add(a, b) for a, b in zip(x, y)))
+        return tuple((a + b) % m for a, b, m in zip(x, y, self._mods))
 
     def sub(self, x, y):
-        return self.canon(tuple(self.base.sub(a, b) for a, b in zip(x, y)))
-
-    def neg(self, x):
-        return self.canon(tuple(self.base.neg(a) for a in x))
+        return tuple((a - b) % m for a, b, m in zip(x, y, self._mods))
 
     def mul(self, x, y):
-        b = self.base
-        e = self.e
-        prod = [b.zero()] * (2 * e - 1)
-        for i, xi in enumerate(x):
-            if xi != b.zero():
-                for j, yj in enumerate(y):
-                    prod[i + j] = b.add(prod[i + j], b.mul(xi, yj))
-        for i in range(2 * e - 2, e - 1, -1):
-            c = prod[i]
-            if c != b.zero():
-                prod[i] = b.zero()
-                for j in range(e):
-                    prod[i - e + j] = b.sub(prod[i - e + j], b.mul(c, self.cb[j]))
-        return self.canon(tuple(prod[:e]))
+        prod = [0] * self._plen
+        for xa, row in zip(x, self._dest):
+            if xa:
+                for d, yb in zip(row, y):
+                    prod[d] += xa * yb
+        for pos, terms in self._steps:
+            c = prod[pos]
+            if c:
+                for t, a in terms:
+                    prod[t] -= c * a
+        return tuple(prod[i] % m for i, m in zip(self._out, self._mods))
 
     def pow(self, x, k):
         acc = self.one()
@@ -359,10 +194,14 @@ class FieldContext:
         """pi-adic valuation in {0, ..., N}; N means zero in O_K/(pi^N)."""
         x = self.canon(x)
         best = self.N
-        for j, c in enumerate(x):
-            if c != self.base.zero():
-                best = min(best, self.e * self.base.vp(c) + j)
-        return min(best, self.N)
+        for i, c in enumerate(x):
+            if c:
+                v = 0
+                while c % self.p == 0:
+                    c //= self.p
+                    v += 1
+                best = min(best, self.e * v + i // self.f)
+        return best
 
     def is_unit(self, x):
         return self.val(x) == 0
@@ -370,9 +209,7 @@ class FieldContext:
     def unit_inv(self, x):
         if not self.is_unit(x):
             raise ZeroDivisionError("not a unit")
-        inv_res = self.fq.inv(self.residue(x))
-        y = self.canon((self.base.lift_residue(inv_res),)
-                       + (self.base.zero(),) * (self.e - 1))
+        y = self.lift(self.fq.inv(self.residue(x)))
         steps = max(1, math.ceil(math.log2(self.N)) + 1)
         two = self.from_int(2)
         for _ in range(steps):
@@ -380,31 +217,33 @@ class FieldContext:
         return y
 
     def residue(self, x):
-        return self.base.residue(x[0])
+        code = 0
+        for c in reversed(x[:self.f]):
+            code = code * self.p + c % self.p
+        return code
 
     def teichmuller(self, code):
-        return self.canon((self.base.teichmuller(code),)
-                          + (self.base.zero(),) * (self.e - 1))
+        """The root of unity of order dividing q - 1 with residue code.
+
+        Iterating x -> x^q from lift(code) gains one p-adic digit a step,
+        and the Teichmueller lift w satisfies w^q = w exactly in O_K/(pi^N),
+        so the first fixed point is w.
+        """
+        x = self.lift(code)
+        while True:
+            y = self.pow(x, self.fq.q)
+            if y == x:
+                return x
+            x = y
 
     def a_residue(self):
-        """Residue class of p * pi^{-e} in GF(p^f)."""
-        b = self.base
-        gamma = b.div_p(self.cb[0])
-        inv_gamma = b.unit_inv(gamma)
-        # pi^e = -c_0 (1 + w) with w = sum_{j>=1} (c_j/c_0) pi^j
-        w = self.zero()
-        pi_pow = self.one()
-        pi = self.pi()
-        for j in range(1, self.e):
-            pi_pow = self.mul(pi_pow, pi)
-            ratio = b.mul(b.div_p(self.cb[j]), inv_gamma)
-            w = self.add(w, self.scale(pi_pow, ratio))
-        one_plus_w = self.add(self.one(), w)
-        a_elem = self.neg(self.scale(self.unit_inv(one_plus_w), inv_gamma))
-        return self.residue(a_elem)
+        """Residue class of p * pi^{-e} in GF(p^f); it lies in GF(p).
 
-    def scale(self, x, code):
-        return self.canon(tuple(self.base.mul(c, code) for c in x))
+        E(pi) = 0 gives p * pi^{-e} = -1/(c_0/p + (c_1/p) pi + ...), whose
+        residue is -(c_0/p)^{-1} mod p.
+        """
+        p = self.p
+        return -pow(self.poly.coeffs[0] // p, -1, p) % p
 
 
 def build_field(poly, N):
@@ -452,19 +291,22 @@ def unit_group(ctx, n, cap=DEFAULT_ENUM_CAP):
     size = ctx.p ** (ctx.f * (ctx.N - 1))
     if size > cap:
         raise TooLarge(f"|H| = {size} exceeds the enumeration cap {cap}")
-    digits = ctx.base.residue_digits()
-    pi_pows = [ctx.one()]
+    codes = range(ctx.fq.q)
+    # terms[j-1][code] = [code] * pi^j
+    terms = []
     pi = ctx.pi()
+    pi_pow = ctx.one()
     for _ in range(ctx.N - 1):
-        pi_pows.append(ctx.mul(pi_pows[-1], pi))
+        pi_pow = ctx.mul(pi_pow, pi)
+        terms.append([ctx.mul(ctx.lift(code), pi_pow) for code in codes])
     pn = ctx.p ** n
     p_elems = set()
     one = ctx.one()
-    for digit_vec in itertools.product(digits, repeat=ctx.N - 1):
+    for digit_vec in itertools.product(codes, repeat=ctx.N - 1):
         u = one
-        for j, dcode in enumerate(digit_vec, start=1):
-            if dcode != ctx.base.zero():
-                u = ctx.add(u, ctx.scale(pi_pows[j], dcode))
+        for row, code in zip(terms, digit_vec):
+            if code:
+                u = ctx.add(u, row[code])
         p_elems.add(ctx.pow(u, pn))
     levels = sorted(ctx.val(ctx.sub(x, one)) for x in p_elems)
     counts = {}

@@ -10,6 +10,11 @@ from grmk.oracle import (EisensteinPoly, NotEisenstein, ParamsMismatch,
 Q2I = EisensteinPoly(2, 1, [2, 2, 1])
 Q3Z = EisensteinPoly(3, 1, [3, 3, 1])
 Q2S = EisensteinPoly(2, 1, [-2, 0, 1])
+Q2Z8 = EisensteinPoly(2, 1, [2, 4, 6, 4, 1])
+Q3Z9 = EisensteinPoly(3, 1, [3, 9, 18, 21, 15, 6, 1])
+# unramified quadratic extensions of Q_2(i) and Q_3(zeta_3)
+Q4I = EisensteinPoly(2, 2, [2, 2, 1])
+Q9Z = EisensteinPoly(3, 2, [3, 3, 1])
 
 
 class TestEisenstein:
@@ -55,12 +60,13 @@ class TestFieldContext:
 
     def test_a_residue_identity(self):
         # independent check: p = a * pi^e up to higher valuation
-        for poly, N in ((Q2I, 7), (Q3Z, 5), (Q2S, 6)):
+        for poly, N in ((Q2I, 7), (Q3Z, 5), (Q2S, 6), (Q4I, 7), (Q9Z, 5),
+                        (Q2Z8, 9), (Q3Z9, 13)):
             ctx = build_field(poly, N)
             a = ctx.a_residue()
             pi_e = ctx.pow(ctx.pi(), ctx.e)
             lhs = ctx.sub(ctx.from_int(poly.p),
-                          ctx.scale(pi_e, ctx.base.lift_residue(a)))
+                          ctx.mul(pi_e, ctx.lift(a)))
             assert ctx.val(lhs) > ctx.e
 
     def test_unit_inverse(self):
@@ -81,6 +87,23 @@ class TestFieldContext:
         t = ctx.teichmuller(2)
         assert ctx.pow(t, 2) == ctx.one()
         assert ctx.residue(t) == 2
+
+    def test_teichmuller_is_multiplicative_f2(self):
+        # checks the reduction by the lifted modulus against FqContext's tables
+        for poly, N in ((Q4I, 7), (Q9Z, 5)):
+            ctx = build_field(poly, N)
+            teich = [ctx.teichmuller(code) for code in range(ctx.fq.q)]
+            for a in range(ctx.fq.q):
+                assert ctx.residue(teich[a]) == a
+                for b in range(ctx.fq.q):
+                    assert ctx.mul(teich[a], teich[b]) == teich[ctx.fq.mul(a, b)]
+
+    def test_f2_unit_torsion(self):
+        # 1 + pi = i in Q_4(i), as in Q_2(i)
+        ctx = build_field(Q4I, 7)
+        i_elem = ctx.add(ctx.one(), ctx.pi())
+        assert ctx.pow(i_elem, 4) == ctx.one()
+        assert ctx.pow(i_elem, 2) == ctx.from_int(-1)
 
     def test_cutoff_too_small(self):
         with pytest.raises(ValueError):
@@ -188,6 +211,15 @@ class TestCompare:
         ctx = build_field(EisensteinPoly(2, 2, [-2, 1]), 4)
         params = CDVFParams(2, 2, 0, 1, 1, 1, "1")
         assert compare(ctx, params).all_match
+
+    @pytest.mark.parametrize("poly, a, u1_image", [(Q4I, "1", 32), (Q9Z, "2", 243)])
+    def test_ramified_f2_all_match(self, poly, a, u1_image):
+        # n = 1 at N = c_1 + 1; |U^1/(U^1)^p| = p^(n e f) * p^n, since mu_p is in K
+        p, f, e = poly.p, poly.f, poly.e
+        ctx = build_field(poly, e + e // (p - 1) + 1)
+        table = unit_group(ctx, 1)
+        assert compare(ctx, CDVFParams(p, f, 0, e, 1, 1, a), table).all_match
+        assert gr_orders(table).total_u1_image == u1_image == p ** (e * f) * p
 
     def test_beyond_top_threshold_rows_are_one(self):
         ctx = build_field(Q2I, 10)
