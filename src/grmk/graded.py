@@ -480,10 +480,9 @@ def _ac_relation_space(desc, deg, slices):
             continue
         base = slice_pos[gamma] * nsub
         targets = []
-        d_cols = None
         if any(x % p for x in gamma):
             if deg < r:
-                d_cols = koszul_slice(kctx, gamma, deg + 1)[0]
+                _check_closed(fq, rows, koszul_slice(kctx, gamma, deg + 1)[0])
         else:
             for delta, a_code in shifts:
                 pos = slice_pos.get(tuple(x // p + dx for x, dx in zip(gamma, delta)))
@@ -491,8 +490,6 @@ def _ac_relation_space(desc, deg, slices):
                     raise AssertionError("relation image escaped the closed window")
                 targets.append((pos * nsub, a_code))
         for row in rows:
-            if d_cols is not None and not _closed_in_slice(fq, row, d_cols):
-                raise NotClosed("the Cartier operator is only defined on closed forms")
             for xl in powers:
                 acc = {}
                 for i, c in row.items():
@@ -507,13 +504,17 @@ def _ac_relation_space(desc, deg, slices):
     return space, subs, nsub, slice_pos
 
 
-def _closed_in_slice(fq, row, d_cols):
-    """Whether d kills the slice vector row, given d's Koszul columns there."""
-    out = {}
-    for i, c in row.items():
-        for j, v in d_cols[i].items():
-            out[j] = fq.add(out.get(j, 0), fq.mul(c, v))
-    return not any(out.values())
+def _check_closed(fq, rows, d_cols):
+    """Raise NotClosed unless d kills every slice vector in rows, given d's
+    Koszul columns there; the Cartier operator is defined only on closed
+    forms."""
+    for row in rows:
+        out = {}
+        for i, c in row.items():
+            for j, v in d_cols[i].items():
+                out[j] = fq.add(out.get(j, 0), fq.mul(c, v))
+        if any(out.values()):
+            raise NotClosed("the Cartier operator is only defined on closed forms")
 
 
 def _digit_vec(acc, p, f):
@@ -587,21 +588,46 @@ def _slice_fp_dim(desc, beta):
 
 
 def _ac_dim_table(desc, box):
+    """Case II table: per beta of the box and summed over both form degrees,
+    f*nsub less the number of (1+aC) pivots at beta.
+
+    Only the contraction ball |beta|_inf <= _shift_bound(params) is
+    eliminated.  In the expansion-dominant order a (1+aC) row from a slice
+    beta outside the ball leads at beta, since its images beta/p + delta
+    have a strictly smaller sup-norm, and every ball column comes after
+    every outside column.  So the rows of the outside slices are in block
+    echelon form: beta outside the ball holds exactly f*dim Z_{z_level} of
+    the pivots, once per class beta mod p^{z_level}, and the pivots inside
+    the ball are those of the ball system alone.
+    """
     params = desc.params
-    total = {beta: 0 for beta in box}
-    slices = _ac_window(params, box, desc.window_cap)
+    kctx = params.kctx
     f = params.f
+    radius = _shift_bound(params)
+    ball = _ac_window(params, (), desc.window_cap)
+    mod = params.p ** desc.z_level
+    total = {beta: 0 for beta in box}
     for deg in (params.q - 1, params.q - 2):
-        space, _, nsub, _ = _ac_relation_space(desc, deg, slices)
-        pivots_by_slice = {}
+        space, _, nsub, _ = _ac_relation_space(desc, deg, ball)
+        ranks = {}
         for piv in space.pivots():
-            slice_idx = piv // (nsub * f)
-            gamma = slices[slice_idx]
-            pivots_by_slice[gamma] = pivots_by_slice.get(gamma, 0) + 1
+            gamma = ball[piv // (nsub * f)]
+            ranks[gamma] = ranks.get(gamma, 0) + 1
         # free this degree's space before the next one is built
         del space
+        outside = {}
         for beta in box:
-            total[beta] += f * nsub - pivots_by_slice.get(beta, 0)
+            if max(map(abs, beta), default=0) > radius:
+                key = tuple(x % mod for x in beta)
+                if key not in outside:
+                    rows = subspace_basis(kctx, beta, deg, Z_KIND, desc.z_level)
+                    if rows and deg < params.r and any(x % params.p for x in beta):
+                        _check_closed(kctx.fq, rows, koszul_slice(kctx, beta, deg + 1)[0])
+                    outside[key] = f * len(rows)
+                rank = outside[key]
+            else:
+                rank = ranks.get(beta, 0)
+            total[beta] += f * nsub - rank
     return total
 
 
@@ -618,7 +644,17 @@ def _degree_box(r, radius):
 
 
 def graded_order(desc, radius=DEFAULT_TABLE_RADIUS):
-    """Exact group order (r = 0) or a per-degree GF(p)-dimension table (r >= 1)."""
+    """Exact group order (r = 0) or a per-degree GF(p)-dimension table (r >= 1).
+
+    A Case I slice depends on beta only through a residue class, so it is
+    eliminated once per class and copied to the rest of the box.  For
+    'theta' the class is beta mod p^{s+1}: B_s at beta reads beta mod p^s,
+    and the theta rows read whether p^s divides beta and alpha = beta/p^s
+    mod p.  For 'zmod' it is beta mod p^{z_level}.  Case II eliminates only
+    the contraction ball and takes each slice outside it once per class
+    beta mod p^{z_level} (see _ac_dim_table).  So a table costs one
+    elimination per class, plus one on the ball, however large radius is.
+    """
     params = desc.params
     box = _degree_box(params.r, radius)
     if desc.branch == "zero":
@@ -626,7 +662,15 @@ def graded_order(desc, radius=DEFAULT_TABLE_RADIUS):
     elif desc.branch == "ac":
         table = _ac_dim_table(desc, box)
     else:
-        table = {beta: _slice_fp_dim(desc, beta) for beta in box}
+        level = desc.b_level + 1 if desc.branch == "theta" else desc.z_level
+        mod = params.p ** level
+        dims = {}
+        table = {}
+        for beta in box:
+            key = tuple(x % mod for x in beta)
+            if key not in dims:
+                dims[key] = _slice_fp_dim(desc, beta)
+            table[beta] = dims[key]
     return params.p ** table[()] if params.r == 0 else table
 
 

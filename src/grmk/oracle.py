@@ -181,14 +181,15 @@ class FieldContext:
         return tuple(prod[i] % m for i, m in zip(self._out, self._mods))
 
     def pow(self, x, k):
-        acc = self.one()
+        # acc starts at the lowest set bit of k, so no multiply is by one()
+        acc = None
         while k:
             if k & 1:
-                acc = self.mul(acc, x)
+                acc = self.canon(x) if acc is None else self.mul(acc, x)
             k >>= 1
             if k:
                 x = self.mul(x, x)
-        return acc
+        return self.one() if acc is None else acc
 
     def val(self, x):
         """pi-adic valuation in {0, ..., N}; N means zero in O_K/(pi^N)."""

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,7 +10,8 @@ from grmk.graded import (CASE_I, CASE_II, CASE_III, OUT_OF_RANGE, PRIME,
                          CDVFParams, CoefficientNotIntegral, MalformedSymbol,
                          OutOfRangeLevel, PreconditionViolated, SymbolExpr,
                          WindowOverflow, _ac_relation_space, _ac_window,
-                         _flatten_form, _theta_columns, _theta_pair,
+                         _degree_box, _flatten_form, _shift_bound,
+                         _slice_fp_dim, _theta_columns, _theta_pair,
                          _theta_relation_space, _theta_vec, classify,
                          descriptor, format_symbol, graded_order, is_zero,
                          level_shift_consistency, make_z_tower_element,
@@ -293,6 +295,130 @@ class TestDescriptorOrders:
         assert set(table) == {(-2,), (-1,), (0,), (1,), (2,)}
         # O^0/B_0 at r=1: every slice contributes one GF(2)-dimension
         assert all(v == 1 for v in table.values())
+
+
+def _reference_table(desc, radius):
+    """graded_order without residue classes: every Case I slice of the box is
+    eliminated on its own, and Case II on the closed window of the whole box,
+    whose pivots are counted per slice."""
+    params = desc.params
+    box = _degree_box(params.r, radius)
+    if desc.branch == "zero":
+        table = {beta: 0 for beta in box}
+    elif desc.branch == "ac":
+        table = {beta: 0 for beta in box}
+        slices = _ac_window(params, box, desc.window_cap)
+        f = params.f
+        for deg in (params.q - 1, params.q - 2):
+            space, _, nsub, _ = _ac_relation_space(desc, deg, slices)
+            pivots = Counter(slices[piv // (nsub * f)] for piv in space.pivots())
+            for beta in box:
+                table[beta] += f * nsub - pivots[beta]
+    else:
+        table = {beta: _slice_fp_dim(desc, beta) for beta in box}
+    return params.p ** table[()] if params.r == 0 else table
+
+
+# (p, f, e, n) with p^(n-1)(p-1) | e: theta levels with s = 0, 1, 2 and zmod
+# levels at p = 2, 3 and 5, over GF(p) and GF(p^2)
+_TABLE_FIELDS = [(2, 1, 2, 2), (2, 1, 2, 1), (2, 1, 4, 3), (3, 1, 6, 1),
+                 (3, 1, 6, 2), (5, 1, 4, 1), (2, 2, 2, 2), (3, 2, 2, 1),
+                 (5, 2, 4, 1)]
+# values of a with |a|_inf = 0, 1 and 2, by the variables they need
+_TABLE_AS = {
+    0: ["1", "-1", "g^1"],
+    1: ["t1^1", "1+t1^-1", "g^1*t1^-1", "t1^-2", "1+t1^2"],
+    2: ["t1^1+t2^-1", "t2^2", "g^1*t1^-2+t2^1"],
+    3: ["t1^1+t3^-2", "t3^1"],
+}
+
+
+def _table_as(p, f, r):
+    out = []
+    for k in range(min(r, 3) + 1):
+        out += [str(p - 1) if a == "-1" else a for a in _TABLE_AS[k]
+                if f == 2 or "g" not in a]
+    return out
+
+
+class TestTablesByClass:
+    # graded_order computes a Case I slice once per residue class and
+    # eliminates Case II only on the contraction ball; its tables must equal
+    # the reference's entry for entry
+
+    def test_tables_match_reference(self, monkeypatch):
+        ball_sizes = []
+
+        def recording_window(params, seeds, cap):
+            window = _ac_window(params, seeds, cap)
+            ball_sizes.append((len(window), (2 * _shift_bound(params) + 1) ** params.r))
+            return window
+
+        monkeypatch.setattr("grmk.graded._ac_window", recording_window)
+        seen = set()
+        for p, f, e, n in _TABLE_FIELDS:
+            for r in (0, 1, 2, 3):
+                a_list = _table_as(p, f, r)
+                for q in (1, 2, 3):
+                    P0 = CDVFParams(p, f, r, e, n, q, "1")
+                    for m in range(1, P0.threshold(n) + 2):
+                        a = a_list[(m + q + r) % len(a_list)]
+                        P = CDVFParams(p, f, r, e, n, q, a)
+                        desc = descriptor(P, m)
+                        R = _shift_bound(P)
+                        for radius in (0, 1, 2, 3):
+                            got = graded_order(desc, radius)
+                            want = _reference_table(desc, radius)
+                            assert got == want, (P, m, radius)
+                            where = "inside" if radius < R else "on" if radius == R else "past"
+                            seen.add((desc.branch, desc.b_level, where, f, r))
+        assert all(size <= ball for size, ball in ball_sizes)
+        assert ball_sizes
+        branches = {(b, s) for b, s, *_ in seen}
+        assert {("theta", 0), ("theta", 1), ("theta", 2), ("zmod", None),
+                ("ac", None), ("zero", None)} <= branches
+        for f in (1, 2):
+            for r in (1, 2, 3):
+                assert {w for b, _, w, f2, r2 in seen if b == "ac" and (f2, r2) == (f, r)} \
+                    == {"inside", "on", "past"}, (f, r)
+
+    def test_window_cap_bounds_only_the_ball(self):
+        # a = t1^1 at p = 2 has the ball |beta| <= 2 of 5 slices; the box of
+        # radius 3 has 7
+        P = CDVFParams(2, 1, 1, 2, 2, 1, "t1^1")
+        assert len(graded_order(descriptor(P, 4, window_cap=5), 3)) == 7
+        with pytest.raises(WindowOverflow):
+            graded_order(descriptor(P, 4, window_cap=4), 3)
+
+    def test_not_closed_row_outside_the_ball_raises(self, monkeypatch):
+        # a = 1 gives the ball {0}, so only the outside slice (1,) can see
+        # that t1 is not closed
+        desc = descriptor(CDVFParams(2, 1, 1, 2, 2, 1, "1"), 4)
+        assert desc.branch == "ac" and _shift_bound(desc.params) == 0
+        monkeypatch.setattr("grmk.graded.subspace_basis",
+                            lambda kctx, alpha, q, kind, s: [{0: 1}])
+        with pytest.raises(NotClosed):
+            graded_order(desc, 1)
+
+    @pytest.mark.parametrize("p,e,n,m,level", [(2, 4, 3, 1, 1), (2, 4, 3, 2, 2),
+                                               (2, 4, 3, 4, 3), (3, 6, 2, 3, 2),
+                                               (2, 2, 1, 2, 1), (3, 6, 1, 6, 1)])
+    def test_case_i_slices_once_per_class(self, monkeypatch, p, e, n, m, level):
+        # a theta slice reads beta mod p^{s+1}, a zmod slice beta mod
+        # p^{z_level}: a stand-in slice that returns its own class must come
+        # back at every beta, from one call per class
+        desc = descriptor(CDVFParams(p, 1, 2, e, n, 2, "1"), m)
+        assert level == (desc.b_level + 1 if desc.branch == "theta" else desc.z_level)
+        calls = []
+
+        def class_of(desc, beta):
+            calls.append(beta)
+            return tuple(x % p ** level for x in beta)
+
+        monkeypatch.setattr("grmk.graded._slice_fp_dim", class_of)
+        table = graded_order(desc, 4)
+        assert len(calls) == len(set(table.values()))
+        assert all(table[beta] == class_of(desc, beta) for beta in table)
 
 
 class TestReduce:

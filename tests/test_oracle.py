@@ -105,6 +105,18 @@ class TestFieldContext:
         assert ctx.pow(i_elem, 4) == ctx.one()
         assert ctx.pow(i_elem, 2) == ctx.from_int(-1)
 
+    @pytest.mark.parametrize("poly", [Q2I, Q9Z], ids=["q2i", "q9z3"])
+    def test_pow_matches_repeated_mul(self, poly):
+        ctx = build_field(poly, 7)
+        unit = ctx.add(ctx.lift(ctx.fq.q - 1), ctx.mul(ctx.pi(), ctx.lift(1)))
+        # a tuple outside the canonical ranges must still give canonical powers
+        raw = tuple(c - 5 * ctx.p ** 4 for c in unit)
+        for x in (unit, ctx.pi(), raw):
+            acc = ctx.one()
+            for k in range(41):
+                assert ctx.pow(x, k) == acc, (poly, x, k)
+                acc = ctx.mul(acc, x)
+
     def test_cutoff_too_small(self):
         with pytest.raises(ValueError):
             build_field(Q2I, 1)
