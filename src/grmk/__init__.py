@@ -1,5 +1,5 @@
 """grmk: graded quotients of unit-filtered Milnor K-groups modulo p^n,
-with an exact brute-force oracle on concrete local fields."""
+with an exact p-adic oracle on concrete local fields."""
 
 from .ffield import (FqContext, KContext, LaurentPoly, ContextMismatch,
                      NotAPthPower, ExponentOverflow, ParseError,
@@ -17,8 +17,8 @@ from .graded import (CDVFParams, GradedCase, GrDescriptor, GrElement,
                      CoefficientNotIntegral, WindowOverflow, MalformedSymbol,
                      PreconditionViolated)
 from .oracle import (EisensteinPoly, FieldContext, UnitGroupTable,
-                     GradedOrdersReport, build_field, unit_group, gr_orders,
-                     compare, load_fixture, power_landing_ok, NotEisenstein,
-                     TooLarge, ParamsMismatch)
+                     GradedOrdersReport, build_field, filtered_unit_group,
+                     unit_group, gr_orders, compare, load_fixture,
+                     power_landing_ok, NotEisenstein, TooLarge, ParamsMismatch)
 
 __version__ = "0.1.0"

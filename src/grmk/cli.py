@@ -2,8 +2,9 @@
 
 Subcommands: gr (classify a level and print its presentation and order),
 reduce (canonical representative of an element), symbol (evaluate a
-restricted symbol), verify-q1 (brute-force comparison on a fixture field),
-shift-check (consistency of the (n, m) -> (n-1, m-e) shift), selftest.
+restricted symbol), verify-q1 (comparison with the filtered p-adic oracle on
+a fixture field), shift-check (consistency of the (n, m) -> (n-1, m-e)
+shift), selftest.
 
 Exit codes: 0 success, 1 mismatch or property failure, 2 usage/validation.
 """
@@ -87,11 +88,11 @@ def cmd_verify_q1(args):
         raise ValueError(f"cutoff N = {N} must exceed c_n = n*e + e_0 = {c_n}")
     ctx = oracle.build_field(poly, N)
     params = CDVFParams(poly.p, poly.f, 0, poly.e, args.n, 1, str(ctx.a_residue()))
-    table = oracle.unit_group(ctx, args.n, cap=args.cap)
+    table = oracle.filtered_unit_group(ctx, args.n)
     cmp_report = oracle.compare(ctx, params, table)
     # stabilization between cutoffs c_n + 1 and c_n + 3, reusing the table at N
-    lo, hi = (table if cutoff == N else oracle.unit_group(
-                  oracle.build_field(poly, cutoff), args.n, cap=args.cap)
+    lo, hi = (table if cutoff == N else oracle.filtered_unit_group(
+                  oracle.build_field(poly, cutoff), args.n)
               for cutoff in (c_n + 1, c_n + 3))
     stable = oracle.gr_orders(lo).same_orders(oracle.gr_orders(hi))
     _emit(reports.render_compare(cmp_report, stable))
@@ -146,12 +147,12 @@ def build_parser():
     _human_or_machine(p_sym)
     p_sym.set_defaults(func=cmd_symbol)
 
-    p_ver = sub.add_parser("verify-q1",
-                           help="brute-force comparison on a fixture field")
+    p_ver = sub.add_parser(
+        "verify-q1",
+        help="compare the q = 1 orders with the filtered p-adic oracle on a fixture field")
     p_ver.add_argument("--fixture", type=str, required=True)
     p_ver.add_argument("--n", type=int, required=True)
     p_ver.add_argument("--N", type=int, default=None, help="cutoff (default c_n + 3)")
-    p_ver.add_argument("--cap", type=int, default=oracle.DEFAULT_ENUM_CAP)
     _human_or_machine(p_ver)
     p_ver.set_defaults(func=cmd_verify_q1)
 
@@ -177,12 +178,20 @@ def build_parser():
 USAGE_ERRORS = (ValueError, ParseError, ExponentOverflow, OutOfRangeLevel,
                 MalformedSymbol, PreconditionViolated, oracle.NotEisenstein,
                 oracle.ParamsMismatch, FileNotFoundError)
-RUNTIME_ERRORS = (WindowOverflow, oracle.TooLarge)
+RUNTIME_ERRORS = (WindowOverflow,)
+
+
+# built on the first `main` call: building costs about ten parses.  It is
+# looked up as `build_parser` at that call, so a wrapper installed on the
+# module attribute sees the one build.
+_parser = None
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except USAGE_ERRORS as exc:

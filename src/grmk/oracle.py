@@ -1,5 +1,4 @@
-"""Brute-force verification of the q = 1 graded quotients on concrete local
-fields.
+"""Verification of the q = 1 graded quotients on concrete local fields.
 
 A field K is specified by an Eisenstein polynomial E with integer
 coefficients over the unramified extension of Q_p of degree f; its ring of
@@ -8,14 +7,25 @@ element (see `FieldContext` for the layout and the truncation rule).
 Products are formed over Z and truncated only after reduction, so no guard
 digits are needed.
 
-The finite group H = (1 + pi O_K)/(1 + pi^N O_K) is enumerated outright and
-the subgroup P of p^n-th powers is its image under u -> u^{p^n} (an
-endomorphism of an abelian group, hence a subgroup).  P equals the
-intersection of (K^x)^{p^n} with the 1-units up to level N because a p^n-th
-power pi^{a p^n} zeta^{p^n} u^{p^n} is a 1-unit only when a = 0 and
-zeta = 1; the companion check `power_landing_ok` exercises that claim on
-non-1-units.  Orders of the graded quotients then come from counting
-P-elements by filtration level.
+The finite group H = (1 + pi O_K)/(1 + pi^N O_K) carries the filtration
+H_m = U^m/U^N, and P is its subgroup of p^n-th powers, the image of
+u -> u^{p^n} (an endomorphism of an abelian group, hence a subgroup).  P
+equals the intersection of (K^x)^{p^n} with the 1-units up to level N
+because a p^n-th power pi^{a p^n} zeta^{p^n} u^{p^n} is a 1-unit only when
+a = 0 and zeta = 1; the companion check `power_landing_ok` exercises that
+claim on non-1-units.  Orders of the graded quotients come from the counts
+|P intersect H_m|, measured in two independent ways:
+
+* `filtered_unit_group` (used by `compare` and `verify-q1`) takes the
+  generators g_{j,t} = 1 + y^t pi^j of H, raises them to the p^n-th power
+  and reduces them to a filtered basis of P, one element per position of
+  the GF(p)-refined filtration (the filtration method for (O_K/m)^*,
+  Cohen, Advanced Topics in Computational Number Theory, 4.2).  It costs a
+  polynomial number of products in N.
+* `unit_group` enumerates all p^{f(N-1)} elements of H and counts the
+  distinct p^n-th powers by level.  It is exponential in N, refuses an H
+  larger than its cap, and stays as the reference the tests hold the
+  filtered oracle to.
 
 Fixture format (text, '#' comments)::
 
@@ -257,8 +267,10 @@ def build_field(poly, N):
 class UnitGroupTable:
     """H = (1 + pi O_K)/(1 + pi^N O_K) with its subgroup P of p^n-th powers.
 
-    Only the valuations of P-elements are retained: |H_m| is p^{f(N-m)} on
-    the nose, and |H_m intersect P| is the count of P-elements of level >= m.
+    Only the counts |H_m intersect P| are kept, as p_level_counts[m] for
+    1 <= m <= N; |H_m| is p^{f(N-m)} on the nose.  `filtered_unit_group`
+    reads the counts off a filtered basis of P, `unit_group` counts the
+    enumerated P-elements of level >= m; both give the same table.
     """
 
     def __init__(self, ctx, n, p_level_counts, p_size):
@@ -282,13 +294,90 @@ class UnitGroupTable:
         return size // inter
 
 
-def unit_group(ctx, n, cap=DEFAULT_ENUM_CAP):
+def _check_cutoff(ctx, n):
     # N > n*e + e/(p-1), compared exactly so a non-integral e_0 cannot
     # slip through the floor
     if (ctx.p - 1) * ctx.N <= (ctx.p - 1) * n * ctx.e + ctx.e:
         c_n = n * ctx.e + ctx.e / (ctx.p - 1)
         raise ValueError(
             f"cutoff N = {ctx.N} must exceed c_n = n*e + e_0 = {c_n:g}")
+
+
+def _lead(ctx, x):
+    """(k*f + t, c) for a 1-unit x of level k = v(x - 1) < N; None for x = 1.
+
+    With k = v*e + j, the lead of x is the residue of (x - 1)/(p^v pi^j) in
+    GF(p)^f, entry t being (x - 1)[j*f + t] // p^v mod p; it is additive
+    on H_k/H_{k+1}.  t is its first nonzero coordinate and c the value there.
+    """
+    d = ctx.sub(x, ctx.one())
+    k = ctx.val(d)
+    if k >= ctx.N:
+        return None
+    v, j = divmod(k, ctx.e)
+    pv = ctx.p ** v
+    lead = [(d[j * ctx.f + t] // pv) % ctx.p for t in range(ctx.f)]
+    t = next(t for t, c in enumerate(lead) if c)
+    return k * ctx.f + t, lead[t]
+
+
+def filtered_basis(ctx, gens):
+    """A filtered basis of the subgroup of H generated by the 1-units gens.
+
+    Returns {k*f + t: b}, at most one element per position: b has level k
+    and a lead that is zero before coordinate t and 1 at t.  An element is
+    inserted by clearing its lead with the basis element at its position
+    (multiplying by b^(p - c)) until it reaches 1 or an empty position;
+    there it is normalised (x^(1/c)) and stored, and its p-th power is
+    inserted next.  So the p-th power of every basis element is a product of
+    basis elements at higher positions, every element of the subgroup is a
+    unique product of basis elements with exponents in 0..p-1, and the
+    subgroup meets H_m in p^(number of positions at levels >= m) elements.
+    """
+    p = ctx.p
+    basis = {}
+    for x in gens:
+        lead = _lead(ctx, x)
+        while lead is not None:
+            pos, c = lead
+            b = basis.get(pos)
+            if b is None:
+                b = basis[pos] = ctx.pow(x, pow(c, -1, p))
+                x = ctx.pow(b, p)
+            else:
+                x = ctx.mul(x, ctx.pow(b, p - c))
+            # the lead is read off the element again, never carried along,
+            # and it must move up: a step that does not is a bug, not a loop
+            lead = _lead(ctx, x)
+            if lead is not None and lead[0] <= pos:
+                raise AssertionError(
+                    f"elimination step at position {pos} reached position {lead[0]}")
+    return basis
+
+
+def filtered_unit_group(ctx, n):
+    """The table of H and P = H^{p^n} from a filtered basis of P.
+
+    The leads of g_{j,t} = 1 + y^t pi^j (1 <= j < N, 0 <= t < f) span every
+    level, so these generate H and their p^n-th powers generate P.
+    """
+    _check_cutoff(ctx, n)
+    pn = ctx.p ** n
+    one, pi = ctx.one(), ctx.pi()
+    gens = []
+    pi_j = one
+    for _ in range(ctx.N - 1):
+        pi_j = ctx.mul(pi_j, pi)
+        for t in range(ctx.f):
+            gens.append(ctx.pow(ctx.add(one, ctx.mul(ctx.lift(ctx.p ** t), pi_j)), pn))
+    levels = [pos // ctx.f for pos in filtered_basis(ctx, gens)]
+    counts = {m: ctx.p ** sum(1 for k in levels if k >= m)
+              for m in range(1, ctx.N + 1)}
+    return UnitGroupTable(ctx, n, counts, ctx.p ** len(levels))
+
+
+def unit_group(ctx, n, cap=DEFAULT_ENUM_CAP):
+    _check_cutoff(ctx, n)
     size = ctx.p ** (ctx.f * (ctx.N - 1))
     if size > cap:
         raise TooLarge(f"|H| = {size} exceeds the enumeration cap {cap}")
@@ -382,8 +471,11 @@ class CompareReport:
         return all(match for _, _, _, match in self.rows)
 
 
-def compare(ctx, params, table=None, cap=DEFAULT_ENUM_CAP):
-    """Per-level comparison of brute-forced orders against the presentations."""
+def compare(ctx, params, table=None):
+    """Per-level comparison of the oracle's orders against the presentations.
+
+    The oracle table defaults to `filtered_unit_group(ctx, params.n)`.
+    """
     from . import graded
 
     if params.r != 0:
@@ -397,7 +489,7 @@ def compare(ctx, params, table=None, cap=DEFAULT_ENUM_CAP):
         raise ParamsMismatch(
             f"a mismatch: params carry {params.a}, the field gives {a_ctx}")
     if table is None:
-        table = unit_group(ctx, params.n, cap)
+        table = filtered_unit_group(ctx, params.n)
     report = gr_orders(table)
     rows = []
     for m in range(1, ctx.N):

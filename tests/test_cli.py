@@ -199,6 +199,14 @@ class TestVerifyQ1:
                                "--n", "2", "--N", "5")
         assert code == 2 and "c_n" in err and "6" in err
 
+    def test_zeta9_n2_past_brute_force(self, capsys, fixtures_dir):
+        # |H| = 3^17 at the default cutoff: only the filtered oracle gets here
+        code, out, _ = run_cli(capsys, "verify-q1",
+                               "--fixture", str(fixtures_dir / "q3_zeta9.field"),
+                               "--n", "2")
+        assert code == 0
+        assert "all_match: yes" in out and "stabilization: yes" in out
+
     def test_sqrt2_mismatch_detected_at_n2(self, capsys, fixtures_dir):
         # the divisibility 2 | e holds but zeta_4 is not in Q_2(sqrt 2), so
         # the presentation is wrong there and the oracle must catch it
@@ -208,6 +216,38 @@ class TestVerifyQ1:
         assert code == 1
         assert "all_match: no" in out
         assert "m=5: oracle=1 engine=2 match=no" in out
+
+
+class TestParser:
+    def test_built_once_and_same_output_as_fresh_runs(self, capsys, monkeypatch,
+                                                      fixtures_dir):
+        fixture = str(fixtures_dir / "q2_gaussian.field")
+        argvs = [
+            ["gr", *BASE, "--m", "4"],
+            ["gr", *BASE],                                         # no --m
+            ["verify-q1", "--fixture", fixture, "--n", "2", "--cap", "64"],
+            ["verify-q1", "--fixture", fixture, "--n", "2", "--N", "5"],
+            ["selftest", "--cases", "0"],
+            ["verify-q1", "--fixture", fixture, "--n", "2"],
+            ["gr", *BASE, "--m", "7"],
+        ]
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        monkeypatch.setattr(cli, "_parser", None)
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        for argv in argvs:
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse rejects the arguments
+                code = exc.code
+            captured = capsys.readouterr()
+            script = f"import sys; from grmk import cli; sys.exit(cli.main({argv!r}))"
+            fresh = subprocess.run([sys.executable, "-c", script], env=env,
+                                   capture_output=True, text=True, timeout=120)
+            assert (code, captured.out, captured.err) == (
+                fresh.returncode, fresh.stdout, fresh.stderr), argv
+        assert len(builds) == 1
 
 
 class TestShiftCheck:

@@ -1,11 +1,20 @@
 import math
+import os
+import pathlib
+import random
+import subprocess
+import sys
 
 import pytest
 
 from grmk.graded import CDVFParams
+from grmk import oracle
 from grmk.oracle import (EisensteinPoly, NotEisenstein, ParamsMismatch,
-                         TooLarge, build_field, compare, gr_orders,
-                         load_fixture, power_landing_ok, unit_group)
+                         TooLarge, build_field, compare, filtered_basis,
+                         filtered_unit_group, gr_orders, load_fixture,
+                         power_landing_ok, unit_group)
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 Q2I = EisensteinPoly(2, 1, [2, 2, 1])
 Q3Z = EisensteinPoly(3, 1, [3, 3, 1])
@@ -257,3 +266,141 @@ class TestFixtures:
         assert (poly3.p, poly3.coeffs) == (3, [3, 3, 1])
         polys = load_fixture(fixtures_dir / "q2_sqrt2.field")
         assert polys.coeffs == [-2, 0, 1]
+
+
+# (id, field, largest n with mu_{p^n} in K): the fixture fields and the
+# unramified quadratic extensions the benchmark adds
+ORACLE_FIELDS = [("q2i", Q2I, 2), ("q3z3", Q3Z, 1), ("q2s", Q2S, 1),
+                 ("q2z8", Q2Z8, 3), ("q3z9", Q3Z9, 2), ("q4i", Q4I, 2),
+                 ("q9z3", Q9Z, 1)]
+# every (field, n, N) the benchmark runs has |H| <= 2^16; the three larger
+# ones brute force can enumerate (q2z8 n = 3 at N = 18, 19 and q3z9 n = 1
+# at N = 12) would add about 20 s of enumeration
+ENUMERABLE = 1 << 16
+
+
+def _c_n(poly, n):
+    return n * poly.e + poly.e // (poly.p - 1)
+
+
+def _valid_levels(poly):
+    # the construction condition p^(n-1)(p-1) | e
+    n = 1
+    while poly.e % (poly.p ** (n - 1) * (poly.p - 1)) == 0:
+        yield n
+        n += 1
+
+
+FILTERED_CASES = [
+    pytest.param(poly, n, N, n <= mu_top, id=f"{name}-n{n}-N{N}")
+    for name, poly, mu_top in ORACLE_FIELDS
+    for n in _valid_levels(poly)
+    for N in range(_c_n(poly, n) + 1, _c_n(poly, n) + 4)
+    if poly.p ** (poly.f * (N - 1)) <= ENUMERABLE]
+
+
+def _phi25_shifted():
+    # Phi_25(x + 1) = sum_{i<5} (x + 1)^(5i), Eisenstein at 5
+    return [sum(math.comb(5 * i, k) for i in range(5)) for k in range(21)]
+
+
+class TestFilteredOracle:
+    @pytest.mark.parametrize("poly, n, N, has_mu", FILTERED_CASES)
+    def test_matches_brute_force(self, poly, n, N, has_mu):
+        ctx = build_field(poly, N)
+        table = filtered_unit_group(ctx, n)
+        brute = unit_group(ctx, n)
+        assert table.p_level_counts == brute.p_level_counts
+        assert table.p_size == brute.p_size
+        # |U^1/(U^1)^{p^n}| = p^{nef} p^n holds exactly when mu_{p^n} is in
+        # K; Q_2(sqrt 2) at n = 2 gives 32, not 64
+        total = gr_orders(table).total_u1_image
+        assert (total == poly.p ** (n * poly.e * poly.f + n)) == has_mu
+
+    @pytest.mark.parametrize("poly, N", [(Q2I, 7), (Q2S, 6), (Q3Z, 5),
+                                         (Q4I, 5), (Q9Z, 4)],
+                             ids=["q2i", "q2s", "q3z3", "q4i", "q9z3"])
+    def test_basis_counts_the_generated_subgroup(self, poly, N):
+        # the subgroup found by closure under multiplication, level by level
+        ctx = build_field(poly, N)
+        rng = random.Random(N * poly.p + poly.f)
+        pi_pow = [ctx.pow(ctx.pi(), j) for j in range(N)]
+        for _ in range(12):
+            gens = []
+            for _ in range(rng.randint(1, 3)):
+                u = ctx.one()
+                for j in range(1, N):
+                    u = ctx.add(u, ctx.mul(ctx.lift(rng.randrange(ctx.fq.q)), pi_pow[j]))
+                gens.append(u)
+            group, frontier = {ctx.one()}, [ctx.one()]
+            while frontier:
+                new = {ctx.mul(x, g) for x in frontier for g in gens} - group
+                group |= new
+                frontier = list(new)
+            basis = filtered_basis(ctx, gens)
+            levels = [pos // ctx.f for pos in basis]
+            assert len(group) == ctx.p ** len(basis)
+            for m in range(1, N + 1):
+                inside = sum(1 for x in group if ctx.val(ctx.sub(x, ctx.one())) >= m)
+                assert inside == ctx.p ** sum(1 for k in levels if k >= m), (gens, m)
+
+    def test_basis_positions_and_leads(self):
+        # each element sits at its own position, with lead 1 there
+        ctx = build_field(Q9Z, 6)
+        gens = [ctx.pow(ctx.add(ctx.one(), ctx.mul(ctx.lift(code), ctx.pi())), 3)
+                for code in range(1, 9)]
+        for pos, b in filtered_basis(ctx, gens).items():
+            assert oracle._lead(ctx, b) == (pos, 1)
+
+    def test_step_that_does_not_move_up_raises(self, monkeypatch):
+        # a lead stuck at one position would loop for ever; it must fail
+        calls = []
+
+        def stuck(ctx, x):
+            calls.append(x)
+            if len(calls) > 100:
+                raise RuntimeError("the elimination loops")
+            return ctx.f, 1
+
+        monkeypatch.setattr(oracle, "_lead", stuck)
+        ctx = build_field(Q2I, 7)
+        with pytest.raises(AssertionError):
+            filtered_basis(ctx, [ctx.add(ctx.one(), ctx.pi())])
+
+    def test_cutoff_validation(self):
+        with pytest.raises(ValueError, match="c_n"):
+            filtered_unit_group(build_field(Q2I, 6), 2)
+
+    @pytest.mark.parametrize("poly, n", [
+        (Q3Z9, 2),
+        (EisensteinPoly(5, 1, _phi25_shifted()), 1),
+        (EisensteinPoly(5, 1, _phi25_shifted()), 2),
+    ], ids=["q3z9-n2", "q5z25-n1", "q5z25-n2"])
+    def test_reach_past_brute_force(self, poly, n):
+        # brute force would enumerate 3^17 and 5^27, 5^47 units here
+        ctx = build_field(poly, _c_n(poly, n) + 3)
+        params = CDVFParams(poly.p, poly.f, 0, poly.e, n, 1, str(ctx.a_residue()))
+        rep = compare(ctx, params)
+        assert rep.all_match
+        assert math.prod(o for _, o, _, _ in rep.rows) == poly.p ** (n * poly.e * poly.f + n)
+
+    def test_runs_without_the_forms_engine(self, fixtures_dir):
+        # grmk/__init__ imports the engine, so the package is a bare stub
+        # here and grmk.oracle is loaded from its path on its own
+        fixture = fixtures_dir / "q3_zeta9.field"
+        script = (
+            "import sys, types\n"
+            "sys.modules['grmk.forms'] = sys.modules['grmk.graded'] = None\n"
+            "pkg = types.ModuleType('grmk')\n"
+            f"pkg.__path__ = [{str(SRC / 'grmk')!r}]\n"
+            "sys.modules['grmk'] = pkg\n"
+            "from grmk import oracle\n"
+            f"ctx = oracle.build_field(oracle.load_fixture({str(fixture)!r}), 18)\n"
+            "t = oracle.filtered_unit_group(ctx, 2)\n"
+            "print(t.p_size, sorted(t.p_level_counts.items()))\n")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        table = filtered_unit_group(build_field(load_fixture(fixture), 18), 2)
+        assert proc.stdout == f"{table.p_size} {sorted(table.p_level_counts.items())}\n"
