@@ -25,8 +25,11 @@ Elements are pairs (w1, w2) of forms of degrees q-1 and q-2; under the
 symbol map a pair (x dlog y_1 ^ ... , 0) corresponds to the symbol
 {1 + pi^m x~, y~_1, ...} and (0, ...) to symbols ending in pi.
 
-Reduction solves the relation subgroup exactly on a support-closed degree
-window; canonical representatives are deterministic and constant on cosets.
+Case I is slice-diagonal: a degree-beta slice only meets relations at beta,
+so reduction runs slice by slice.  Only Case II, where 1 + aC moves a slice
+beta divisible by p to beta/p + shift(a), solves the relation subgroup on a
+support-closed degree window.  Canonical representatives are deterministic
+and constant on cosets.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from collections import Counter
 
 from .ffield import FqContext, KContext, LaurentPoly, parse_element
 from .forms import (B_KIND, Z_KIND, DiffForm, NotClosed, cartier, d,
@@ -307,10 +311,10 @@ def descriptor(params, m, window_cap=DEFAULT_WINDOW_CAP):
 
 
 # ---------------------------------------------------------------------------
-# reduction: Case I with the relation map (slice-diagonal)
+# the slice-diagonal quotient: Case I, and Case II outside the contraction ball
 
 def _theta_columns(subs1, subs2):
-    """Column of each subset in a Case I slice vector: subs1 first, then subs2."""
+    """Column of each subset in a slice vector: subs1 first, then subs2."""
     n1 = len(subs1)
     return ({s: i for i, s in enumerate(subs1)},
             {s: n1 + i for i, s in enumerate(subs2)})
@@ -325,8 +329,14 @@ def _theta_vec(columns, sl1, sl2):
 
 
 def _theta_relation_space(desc, beta, subs1, subs2):
-    # Case I relations at slice beta: the rows of B_s at beta in both slots,
-    # and, when beta = p^s alpha, one row theta(t^alpha dlog S) per S in subs2:
+    """Relations of the slice-diagonal quotient O^{q-1} (+) O^{q-2} at beta.
+
+    Both slots hold the tower rows at beta: B_{b_level} for 'theta', and
+    Z_{z_level} for 'zmod' and for an 'ac' slice outside the contraction
+    ball, whose (1+aC) rows lead at beta itself (see _ac_ball_table).
+    """
+    # For 'theta', when beta = p^s alpha, add one row theta(t^alpha dlog S)
+    # per S in subs2:
     #   first slot   C^{-s} d(t^alpha dlog S) = sum_T frob^s(K[T, S]) t^beta dlog T
     #   second slot  C^{-s}(lam t^alpha dlog S) = lam frob^s(1) t^beta dlog S
     # with K the Koszul columns at (alpha, q-1), whose rows are subs1 and whose
@@ -334,25 +344,35 @@ def _theta_relation_space(desc, beta, subs1, subs2):
     # fixes, so the row is K's column of S with lam appended.
     params = desc.params
     kctx = params.kctx
+    q = params.q
     col2 = _theta_columns(subs1, subs2)[1]
-    rows = subspace_basis(kctx, beta, params.q - 1, B_KIND, desc.b_level)
-    rows += [{col2[subs2[i]]: c for i, c in row.items()}
-             for row in subspace_basis(kctx, beta, params.q - 2, B_KIND, desc.b_level)]
-    space = RowSpace.from_echelon(kctx.fq, rows)
-    ps = params.p ** desc.b_level
-    if all(x % ps == 0 for x in beta):
-        alpha = tuple(x // ps for x in beta)
-        lam = desc.theta_coeff
-        for sub, col in zip(subs2, koszul_slice(kctx, alpha, params.q - 1)[0]):
-            vec = dict(col)
-            if lam:
-                vec[col2[sub]] = lam
-            if vec:
-                space.add(vec)
+    if desc.branch == "theta":
+        kind, level = B_KIND, desc.b_level
+    else:
+        kind, level = Z_KIND, desc.z_level
+    rows1 = subspace_basis(kctx, beta, q - 1, kind, level)
+    rows2 = subspace_basis(kctx, beta, q - 2, kind, level)
+    if desc.branch == "ac" and any(x % params.p for x in beta):
+        for deg, rows in ((q - 1, rows1), (q - 2, rows2)):
+            if rows and deg < params.r:
+                _check_closed(kctx.fq, rows, koszul_slice(kctx, beta, deg + 1)[0])
+    space = RowSpace.from_echelon(
+        kctx.fq, rows1 + [{col2[subs2[i]]: c for i, c in row.items()} for row in rows2])
+    ps = params.p ** level
+    if desc.branch != "theta" or any(x % ps for x in beta):
+        return space
+    alpha = tuple(x // ps for x in beta)
+    lam = desc.theta_coeff
+    for sub, col in zip(subs2, koszul_slice(kctx, alpha, q - 1)[0]):
+        vec = dict(col)
+        if lam:
+            vec[col2[sub]] = lam
+        if vec:
+            space.add(vec)
     return space
 
 
-def _reduce_theta(desc, w1, w2):
+def _reduce_slices(desc, w1, w2):
     params = desc.params
     kctx = params.kctx
     subs1 = subsets_of(kctx.r, params.q - 1)
@@ -420,19 +440,10 @@ def _ac_window(params, seed_slices, cap):
 
 
 def _flatten_form(params, w, subs, slice_pos, nsub):
-    f = params.f
-    p = params.p
-    vec = {}
-    for alpha, sl in w.components().items():
-        base = slice_pos[alpha] * nsub * f
-        for i, sub in enumerate(subs):
-            c = sl.get(sub, 0)
-            for l in range(f):
-                digit = c % p
-                c //= p
-                if digit:
-                    vec[base + i * f + l] = digit
-    return vec
+    acc = {slice_pos[alpha] * nsub + i: sl[sub]
+           for alpha, sl in w.components().items()
+           for i, sub in enumerate(subs) if sub in sl}
+    return _digit_vec(acc, params.p, params.f)
 
 
 def _unflatten(params, vec, subs, slices, nsub):
@@ -552,17 +563,10 @@ def reduce(el):
     params = desc.params
     if desc.branch == "zero":
         return desc.zero_element()
-    if desc.branch == "zmod":
-        from .forms import nf_mod
-        return GrElement(desc,
-                         nf_mod(el.w1, Z_KIND, desc.z_level),
-                         nf_mod(el.w2, Z_KIND, desc.z_level))
-    if desc.branch == "theta":
-        w1, w2 = _reduce_theta(desc, el.w1, el.w2)
-        return GrElement(desc, w1, w2)
-    w1 = _reduce_ac_slot(desc, el.w1, params.q - 1)
-    w2 = _reduce_ac_slot(desc, el.w2, params.q - 2)
-    return GrElement(desc, w1, w2)
+    if desc.branch == "ac":
+        return GrElement(desc, _reduce_ac_slot(desc, el.w1, params.q - 1),
+                         _reduce_ac_slot(desc, el.w2, params.q - 2))
+    return GrElement(desc, *_reduce_slices(desc, el.w1, el.w2))
 
 
 def is_zero(el):
@@ -573,62 +577,41 @@ def is_zero(el):
 # orders and dimension tables
 
 def _slice_fp_dim(desc, beta):
-    """GF(p)-dimension of the Case I graded slice pair at degree beta."""
+    """GF(p)-dimension of the slice-diagonal quotient pair at degree beta."""
     params = desc.params
-    kctx = params.kctx
-    subs1 = subsets_of(kctx.r, params.q - 1)
-    subs2 = subsets_of(kctx.r, params.q - 2)
-    n1, n2 = len(subs1), len(subs2)
-    if desc.branch == "theta":
-        space = _theta_relation_space(desc, beta, subs1, subs2)
-        return params.f * (n1 + n2 - space.rank())
-    z1 = len(subspace_basis(kctx, beta, params.q - 1, Z_KIND, desc.z_level))
-    z2 = len(subspace_basis(kctx, beta, params.q - 2, Z_KIND, desc.z_level))
-    return params.f * ((n1 - z1) + (n2 - z2))
+    subs1 = subsets_of(params.r, params.q - 1)
+    subs2 = subsets_of(params.r, params.q - 2)
+    space = _theta_relation_space(desc, beta, subs1, subs2)
+    return params.f * (len(subs1) + len(subs2) - space.rank())
 
 
-def _ac_dim_table(desc, box):
-    """Case II table: per beta of the box and summed over both form degrees,
-    f*nsub less the number of (1+aC) pivots at beta.
+def _ac_ball_table(desc, box):
+    """Case II entries of the box slices inside the contraction ball
+    |beta|_inf <= _shift_bound(params): per beta and summed over both form
+    degrees, f*nsub less the number of (1+aC) pivots at beta.
 
-    Only the contraction ball |beta|_inf <= _shift_bound(params) is
-    eliminated.  In the expansion-dominant order a (1+aC) row from a slice
-    beta outside the ball leads at beta, since its images beta/p + delta
-    have a strictly smaller sup-norm, and every ball column comes after
-    every outside column.  So the rows of the outside slices are in block
-    echelon form: beta outside the ball holds exactly f*dim Z_{z_level} of
-    the pivots, once per class beta mod p^{z_level}, and the pivots inside
-    the ball are those of the ball system alone.
+    Only the ball is eliminated.  In the expansion-dominant order a (1+aC)
+    row from a slice beta outside the ball leads at beta, since its images
+    beta/p + delta have a strictly smaller sup-norm, and every ball column
+    comes after every outside column.  So the rows of the outside slices are
+    in block echelon form: beta outside the ball holds exactly f*dim
+    Z_{z_level} of the pivots, which is the slice-diagonal quotient of
+    _slice_fp_dim, and the pivots inside the ball are those of the ball
+    system alone.
     """
     params = desc.params
-    kctx = params.kctx
     f = params.f
     radius = _shift_bound(params)
     ball = _ac_window(params, (), desc.window_cap)
-    mod = params.p ** desc.z_level
-    total = {beta: 0 for beta in box}
+    inside = {beta: 0 for beta in box if max(map(abs, beta), default=0) <= radius}
     for deg in (params.q - 1, params.q - 2):
         space, _, nsub, _ = _ac_relation_space(desc, deg, ball)
-        ranks = {}
-        for piv in space.pivots():
-            gamma = ball[piv // (nsub * f)]
-            ranks[gamma] = ranks.get(gamma, 0) + 1
+        ranks = Counter(ball[piv // (nsub * f)] for piv in space.pivots())
         # free this degree's space before the next one is built
         del space
-        outside = {}
-        for beta in box:
-            if max(map(abs, beta), default=0) > radius:
-                key = tuple(x % mod for x in beta)
-                if key not in outside:
-                    rows = subspace_basis(kctx, beta, deg, Z_KIND, desc.z_level)
-                    if rows and deg < params.r and any(x % params.p for x in beta):
-                        _check_closed(kctx.fq, rows, koszul_slice(kctx, beta, deg + 1)[0])
-                    outside[key] = f * len(rows)
-                rank = outside[key]
-            else:
-                rank = ranks.get(beta, 0)
-            total[beta] += f * nsub - rank
-    return total
+        for beta in inside:
+            inside[beta] += f * nsub - ranks[beta]
+    return inside
 
 
 def _check_radius(radius):
@@ -646,31 +629,31 @@ def _degree_box(r, radius):
 def graded_order(desc, radius=DEFAULT_TABLE_RADIUS):
     """Exact group order (r = 0) or a per-degree GF(p)-dimension table (r >= 1).
 
-    A Case I slice depends on beta only through a residue class, so it is
-    eliminated once per class and copied to the rest of the box.  For
-    'theta' the class is beta mod p^{s+1}: B_s at beta reads beta mod p^s,
-    and the theta rows read whether p^s divides beta and alpha = beta/p^s
-    mod p.  For 'zmod' it is beta mod p^{z_level}.  Case II eliminates only
-    the contraction ball and takes each slice outside it once per class
-    beta mod p^{z_level} (see _ac_dim_table).  So a table costs one
-    elimination per class, plus one on the ball, however large radius is.
+    Case II first fills the box slices inside the contraction ball from an
+    elimination of the ball alone (_ac_ball_table).  Every other slice of a
+    nonzero branch is a slice-diagonal quotient (_slice_fp_dim), which
+    depends on beta only through a residue class, so it is computed once
+    per class and copied to the rest of the box.  For 'theta' the class is
+    beta mod p^{s+1}: B_s at beta reads beta mod p^s, and the theta rows
+    read whether p^s divides beta and alpha = beta/p^s mod p.  For 'zmod'
+    and 'ac' it is beta mod p^{z_level}.  So a table costs one elimination
+    per class, plus one on the ball, however large radius is.
     """
     params = desc.params
     box = _degree_box(params.r, radius)
     if desc.branch == "zero":
         table = {beta: 0 for beta in box}
-    elif desc.branch == "ac":
-        table = _ac_dim_table(desc, box)
     else:
+        table = _ac_ball_table(desc, box) if desc.branch == "ac" else {}
         level = desc.b_level + 1 if desc.branch == "theta" else desc.z_level
         mod = params.p ** level
         dims = {}
-        table = {}
         for beta in box:
-            key = tuple(x % mod for x in beta)
-            if key not in dims:
-                dims[key] = _slice_fp_dim(desc, beta)
-            table[beta] = dims[key]
+            if beta not in table:
+                key = tuple(x % mod for x in beta)
+                if key not in dims:
+                    dims[key] = _slice_fp_dim(desc, beta)
+                table[beta] = dims[key]
     return params.p ** table[()] if params.r == 0 else table
 
 
@@ -854,24 +837,10 @@ def level_shift_consistency(params, m, probes=(), radius=DEFAULT_TABLE_RADIUS,
     else:
         t_high = graded_order(d_high, radius)
         t_low = graded_order(d_low, radius)
-        s_high = d_high.case.s if d_high.case.tag == CASE_I else None
-        s_low = d_low.case.s if d_low.case.tag == CASE_I else None
-        rescale = (s_high is not None and s_low is not None and s_high != s_low
-                   and d_high.branch == "theta")
+        # same beta on both sides: a theta level here has s < n-i <= v_p(e), so v_p(m-e) = s
         for beta in sorted(t_high):
-            if rescale:
-                diff = s_high - s_low
-                if diff >= 0:
-                    target = tuple(x * params.p ** diff for x in beta)
-                elif all(x % params.p ** (-diff) == 0 for x in beta):
-                    target = tuple(x // params.p ** (-diff) for x in beta)
-                else:
-                    continue
-                other = t_low.get(target)
-            else:
-                other = t_low.get(beta)
-            if other is not None and t_high[beta] != other:
-                report.dim_mismatches.append((beta, t_high[beta], other))
+            if t_high[beta] != t_low[beta]:
+                report.dim_mismatches.append((beta, t_high[beta], t_low[beta]))
     for probe in probes:
         if isinstance(probe, GrElement):
             w1, w2 = probe.w1, probe.w2

@@ -260,6 +260,25 @@ class TestShiftCheck:
         code, _, err = run_cli(capsys, "shift-check", *BASE, "--m", "3")
         assert code == 2 and "error:" in err
 
+    def test_dim_mismatch_fails(self, capsys, monkeypatch):
+        # a stand-in table that reads the level n differs between the sides
+        def table(desc, radius=3):
+            return {(b,): desc.params.n for b in (-1, 0, 1)}
+
+        monkeypatch.setattr("grmk.graded.graded_order", table)
+        code, out, _ = run_cli(capsys, "shift-check", "--p", "2", "--r", "1", "--e", "2",
+                               "--n", "2", "--q", "1", "--a", "1", "--m", "5")
+        assert code == 1 and "consistent: no" in out
+        assert [line for line in out.splitlines() if line.startswith("dim_mismatch[")] == [
+            f"dim_mismatch[{b}]: high=2 low=1" for b in (-1, 0, 1)]
+
+    def test_order_mismatch_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr("grmk.graded.graded_order",
+                            lambda desc, radius=3: desc.params.p ** desc.params.n)
+        code, out, _ = run_cli(capsys, "shift-check", *BASE, "--m", "5")
+        assert code == 1
+        assert "orders: MISMATCH" in out and "consistent: no" in out
+
 
 class TestSelftest:
     def test_default_passes(self, capsys):

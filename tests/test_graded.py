@@ -5,7 +5,8 @@ import pytest
 
 from grmk.ffield import KContext, LaurentPoly
 from grmk.forms import (B_KIND, Z_KIND, DiffForm, NotClosed, d, format_form,
-                        inv_cartier_iter, parse_form, subsets_of, subspace_basis)
+                        inv_cartier_iter, nf_mod, parse_form, subsets_of,
+                        subspace_basis)
 from grmk.graded import (CASE_I, CASE_II, CASE_III, OUT_OF_RANGE, PRIME,
                          CDVFParams, CoefficientNotIntegral, MalformedSymbol,
                          OutOfRangeLevel, PreconditionViolated, SymbolExpr,
@@ -18,6 +19,7 @@ from grmk.graded import (CASE_I, CASE_II, CASE_III, OUT_OF_RANGE, PRIME,
                          one_plus_ac, parse_symbol, reduce, symbol_to_forms,
                          theta)
 from grmk.linalg import RowSpace
+from grmk.reports import render_consistency
 from grmk.selftest import rand_form
 
 
@@ -402,23 +404,34 @@ class TestTablesByClass:
 
     @pytest.mark.parametrize("p,e,n,m,level", [(2, 4, 3, 1, 1), (2, 4, 3, 2, 2),
                                                (2, 4, 3, 4, 3), (3, 6, 2, 3, 2),
-                                               (2, 2, 1, 2, 1), (3, 6, 1, 6, 1)])
+                                               (2, 2, 1, 2, 1), (3, 6, 1, 6, 1),
+                                               (2, 4, 3, 8, 2), (2, 4, 3, 16, 1),
+                                               (3, 6, 2, 9, 1), (3, 18, 3, 27, 2)])
     def test_case_i_slices_once_per_class(self, monkeypatch, p, e, n, m, level):
-        # a theta slice reads beta mod p^{s+1}, a zmod slice beta mod
+        # a theta slice reads beta mod p^{s+1}, a zmod or ac slice beta mod
         # p^{z_level}: a stand-in slice that returns its own class must come
-        # back at every beta, from one call per class
-        desc = descriptor(CDVFParams(p, 1, 2, e, n, 2, "1"), m)
+        # back at every beta outside the Case II ball (|beta| <= 2 for this
+        # a), from one call per class, and the ball keeps its own entries
+        desc = descriptor(CDVFParams(p, 1, 2, e, n, 2, "t1^1+t2^-1"), m)
         assert level == (desc.b_level + 1 if desc.branch == "theta" else desc.z_level)
+        radius = _shift_bound(desc.params) if desc.branch == "ac" else -1
+        want = _reference_table(desc, 4)
         calls = []
+
+        def cls(beta):
+            return tuple(x % p ** level for x in beta)
 
         def class_of(desc, beta):
             calls.append(beta)
-            return tuple(x % p ** level for x in beta)
+            return cls(beta)
 
         monkeypatch.setattr("grmk.graded._slice_fp_dim", class_of)
         table = graded_order(desc, 4)
-        assert len(calls) == len(set(table.values()))
-        assert all(table[beta] == class_of(desc, beta) for beta in table)
+        outside = {beta for beta in table if max(map(abs, beta)) > radius}
+        assert outside and set(calls) <= outside
+        assert len(calls) == len({cls(beta) for beta in outside})
+        assert all(table[beta] == cls(beta) for beta in outside)
+        assert all(table[beta] == want[beta] for beta in table if beta not in outside)
 
 
 class TestReduce:
@@ -497,6 +510,31 @@ class TestReduce:
             with pytest.raises(WindowOverflow):
                 graded_order(descriptor(CDVFParams(2, 1, 0, 2, 2, 1, "1"), 4,
                                         window_cap=cap))
+
+    def test_zmod_matches_nf_mod(self):
+        # a Z-quotient level reduces through the same slice path as theta;
+        # forms.nf_mod in each slot is the reference
+        rng = random.Random(25)
+        count = 0
+        for p, f, e, n in [(2, 1, 4, 2), (2, 2, 4, 2), (3, 1, 6, 2), (3, 2, 6, 2),
+                           (3, 1, 18, 3)]:
+            for r in (1, 2, 3):
+                for q in (1, 2, 3):
+                    P = CDVFParams(p, f, r, e, n, q, "1")
+                    k = P.kctx
+                    for m in range(1, P.threshold(n)):
+                        desc = descriptor(P, m)
+                        if desc.branch != "zmod":
+                            continue
+                        z = desc.z_level
+                        for _ in range(2):
+                            w1, w2 = (rand_form(rng, k, deg) + make_z_tower_element(
+                                k, rand_form(rng, k, deg), z) for deg in (q - 1, q - 2))
+                            red = reduce(desc.element(w1, w2))
+                            assert (red.w1, red.w2) == (nf_mod(w1, Z_KIND, z),
+                                                        nf_mod(w2, Z_KIND, z)), (P, m)
+                            count += 1
+        assert count >= 180
 
     def test_reduce_idempotent_and_coset_constant(self):
         rng = random.Random(23)
@@ -655,6 +693,18 @@ class TestShiftConsistency:
                   for _ in range(5)]
         rep = level_shift_consistency(P, 5, probes=probes)
         assert rep.consistent and not rep.probe_flags
+
+    def test_probe_flag(self, monkeypatch):
+        # a stand-in is_zero that reads the level n must show as a probe flag
+        P = CDVFParams(2, 1, 1, 2, 2, 1, "1")
+        monkeypatch.setattr("grmk.graded.is_zero", lambda el: el.desc.params.n > 1)
+        probe = (parse_form(P.kctx, 0, "t1^1"), DiffForm.zero(P.kctx, -1))
+        rep = level_shift_consistency(P, 5, probes=[probe])
+        assert rep.probe_flags == [("t1^1", "0", True, False)]
+        assert not rep.consistent
+        lines = render_consistency(rep)
+        assert "probe_flag: (t1^1; 0) zero_high=True zero_low=False" in lines
+        assert lines[-1] == "consistent: no"
 
     def test_grid(self):
         for (p, e, n) in [(2, 2, 2), (2, 4, 2), (3, 6, 2)]:
