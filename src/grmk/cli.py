@@ -16,7 +16,7 @@ import sys
 
 from . import graded, oracle, reports
 from .ffield import ExponentOverflow, ParseError
-from .forms import parse_form
+from .forms import DiffForm, parse_form
 from .graded import (CDVFParams, MalformedSymbol, OutOfRangeLevel,
                      PreconditionViolated, WindowOverflow, descriptor,
                      graded_order, level_shift_consistency, parse_symbol,
@@ -99,9 +99,20 @@ def cmd_verify_q1(args):
     return 0 if (cmp_report.all_match and stable) else 1
 
 
+def _parse_probe(params, text):
+    """The pair (w1, w2) of a probe 'W1;W2'; an empty side is 0."""
+    w1_text, sep, w2_text = text.partition(";")
+    if not sep:
+        raise ParseError("a probe is 'W1;W2', with forms of degrees q-1 and q-2", text)
+    return tuple(parse_form(params.kctx, deg, side) if side.strip()
+                 else DiffForm.zero(params.kctx, deg)
+                 for deg, side in ((params.q - 1, w1_text), (params.q - 2, w2_text)))
+
+
 def cmd_shift_check(args):
     params = _params_from(args)
-    rep = level_shift_consistency(params, args.m, radius=args.deg_window,
+    probes = [_parse_probe(params, text) for text in args.probe]
+    rep = level_shift_consistency(params, args.m, probes=probes, radius=args.deg_window,
                                   window_cap=args.window_cap)
     _emit(reports.render_consistency(rep))
     return 0 if rep.consistent else 1
@@ -160,6 +171,9 @@ def build_parser():
                              help="compare presentations at (n, m) and (n-1, m-e)")
     _add_params_flags(p_shift)
     p_shift.add_argument("--m", type=int, required=True)
+    p_shift.add_argument("--probe", action="append", default=[], metavar="W1;W2",
+                         help="element (w1, w2) whose zero test must agree at both "
+                              "levels; an empty side is 0 (repeatable)")
     p_shift.add_argument("--deg-window", type=int, default=3, dest="deg_window")
     p_shift.add_argument("--window-cap", type=int, default=graded.DEFAULT_WINDOW_CAP,
                          dest="window_cap")

@@ -34,6 +34,7 @@ and constant on cosets.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import re
@@ -311,7 +312,7 @@ def descriptor(params, m, window_cap=DEFAULT_WINDOW_CAP):
 
 
 # ---------------------------------------------------------------------------
-# the slice-diagonal quotient: Case I, and Case II outside the contraction ball
+# the slice-diagonal quotient: Case I, and the class entries of Case II
 
 def _theta_columns(subs1, subs2):
     """Column of each subset in a slice vector: subs1 first, then subs2."""
@@ -332,8 +333,9 @@ def _theta_relation_space(desc, beta, subs1, subs2):
     """Relations of the slice-diagonal quotient O^{q-1} (+) O^{q-2} at beta.
 
     Both slots hold the tower rows at beta: B_{b_level} for 'theta', and
-    Z_{z_level} for 'zmod' and for an 'ac' slice outside the contraction
-    ball, whose (1+aC) rows lead at beta itself (see _ac_ball_table).
+    Z_{z_level} for 'zmod' and 'ac'.  For 'ac' this gives the class entry
+    of a slice whose (1+aC) rows lead at beta itself, which graded_order
+    corrects at the trailing slices (see _ac_ball_correction).
     """
     # For 'theta', when beta = p^s alpha, add one row theta(t^alpha dlog S)
     # per S in subs2:
@@ -460,47 +462,45 @@ def _unflatten(params, vec, subs, slices, nsub):
     return comps
 
 
-def _ac_relation_space(desc, deg, slices):
-    """Row space of (1+aC) applied to the tower slices, over GF(p).
-
-    Also returns the deg-subsets, their count and each slice's column block.
-    """
-    # A row z = sum_i c_i t^gamma dlog S_i of the Z-slice at gamma, times the
-    # basis power x^l of GF(p^f), gives the relation (1+aC)(x^l z) with codes
+def _ac_row_builder(desc, deg, slice_pos, nsub):
+    """rows_at(gamma): the GF(p) rows of (1+aC) on the Z_{z_level} slice at
+    gamma, one per basis row z and basis power x^l of GF(p^f), on the
+    columns of the window slice_pos indexes."""
+    # A row z = sum_i c_i t^gamma dlog S_i of the Z-slice at gamma, times
+    # x^l, gives the relation (1+aC)(x^l z) with codes
     #   x^l c_i                          at (gamma, S_i)
     #   a_delta frob^{-1}(x^l c_i)       at (gamma/p + delta, S_i), if p | gamma
     # for each term a_delta t^delta of a (C drops z when p does not divide
     # gamma).  Codes are summed before their base-p digits are laid out, at
     # column (slice * nsub + i) * f + digit, since gamma/p + delta can be
-    # gamma itself.
+    # gamma itself.  z has a 1 at its smallest column, and x^l has the code
+    # p^l, so a row whose images all come after gamma has its smallest
+    # column at gamma, with digit 1 there.
     params = desc.params
     kctx = params.kctx
     fq = kctx.fq
     p, f, r = params.p, params.f, params.r
-    subs = subsets_of(r, deg)
-    nsub = len(subs)
-    slice_pos = {g: i for i, g in enumerate(slices)}
-    space = RowSpace(params.fp)
-    if nsub == 0:
-        return space, subs, nsub, slice_pos
+    z_level = desc.z_level
     shifts = sorted(params.a.terms.items())
     powers = [p ** l for l in range(f)]
-    for gamma in slices:
-        rows = subspace_basis(kctx, gamma, deg, Z_KIND, desc.z_level)
-        if not rows:
-            continue
+
+    def rows_at(gamma):
+        basis = subspace_basis(kctx, gamma, deg, Z_KIND, z_level)
+        if not basis:
+            return []
         base = slice_pos[gamma] * nsub
         targets = []
         if any(x % p for x in gamma):
             if deg < r:
-                _check_closed(fq, rows, koszul_slice(kctx, gamma, deg + 1)[0])
+                _check_closed(fq, basis, koszul_slice(kctx, gamma, deg + 1)[0])
         else:
             for delta, a_code in shifts:
                 pos = slice_pos.get(tuple(x // p + dx for x, dx in zip(gamma, delta)))
                 if pos is None:
                     raise AssertionError("relation image escaped the closed window")
                 targets.append((pos * nsub, a_code))
-        for row in rows:
+        out = []
+        for row in basis:
             for xl in powers:
                 acc = {}
                 for i, c in row.items():
@@ -511,7 +511,28 @@ def _ac_relation_space(desc, deg, slices):
                         for tbase, a_code in targets:
                             k = tbase + i
                             acc[k] = fq.add(acc.get(k, 0), fq.mul(a_code, root))
-                space.add(_digit_vec(acc, p, f))
+                out.append(_digit_vec(acc, p, f))
+        return out
+
+    return rows_at
+
+
+def _ac_relation_space(desc, deg, slices):
+    """Row space of (1+aC) applied to the tower slices, over GF(p).
+
+    Also returns the deg-subsets, their count and each slice's column block.
+    """
+    params = desc.params
+    subs = subsets_of(params.r, deg)
+    nsub = len(subs)
+    slice_pos = {g: i for i, g in enumerate(slices)}
+    space = RowSpace(params.fp)
+    if nsub == 0:
+        return space, subs, nsub, slice_pos
+    rows_at = _ac_row_builder(desc, deg, slice_pos, nsub)
+    for gamma in slices:
+        for row in rows_at(gamma):
+            space.add(row)
     return space, subs, nsub, slice_pos
 
 
@@ -585,33 +606,79 @@ def _slice_fp_dim(desc, beta):
     return params.f * (len(subs1) + len(subs2) - space.rank())
 
 
-def _ac_ball_table(desc, box):
-    """Case II entries of the box slices inside the contraction ball
-    |beta|_inf <= _shift_bound(params): per beta and summed over both form
-    degrees, f*nsub less the number of (1+aC) pivots at beta.
+def _ac_ball_correction(desc):
+    """Case II entries less their class entries, summed over both form
+    degrees, at the slices of the contraction ball where they differ.
 
-    Only the ball is eliminated.  In the expansion-dominant order a (1+aC)
-    row from a slice beta outside the ball leads at beta, since its images
-    beta/p + delta have a strictly smaller sup-norm, and every ball column
-    comes after every outside column.  So the rows of the outside slices are
-    in block echelon form: beta outside the ball holds exactly f*dim
-    Z_{z_level} of the pivots, which is the slice-diagonal quotient of
-    _slice_fp_dim, and the pivots inside the ball are those of the ball
-    system alone.
+    In the expansion-dominant order of the ball (_ac_window) a slice gamma
+    trails when p | gamma and some image gamma/p + delta sits at or before
+    gamma; every other slice's (1+aC) rows lead at that slice.  The leading
+    rows are in block echelon form: each has its smallest column at its own
+    slice, with digit 1, and a slice holds exactly f*dim Z_{z_level} of their
+    pivots, which is the class entry of _slice_fp_dim.  So only the trailing
+    rows are eliminated.  Each is reduced, column by ascending column,
+    against the leading rows, built only for the slices the reduction
+    reaches; the remainders span the rest of the row space, and their pivots
+    are the new ones.  A trailing slice holds no leading pivot.  The
+    correction at beta is f*dim Z(beta) if beta trails, less the new pivots
+    at beta.  Outside the ball every slice leads, since its images have a
+    smaller sup-norm, so the class entry is exact there.
     """
     params = desc.params
-    f = params.f
-    radius = _shift_bound(params)
+    p = params.p
     ball = _ac_window(params, (), desc.window_cap)
-    inside = {beta: 0 for beta in box if max(map(abs, beta), default=0) <= radius}
+    slice_pos = {g: i for i, g in enumerate(ball)}
+    trailing = [
+        gamma for pos, gamma in enumerate(ball)
+        if not any(x % p for x in gamma)
+        and min(slice_pos[tuple(x // p + dx for x, dx in zip(gamma, delta))]
+                for delta in params.a.terms) <= pos]
+    correction = Counter()
     for deg in (params.q - 1, params.q - 2):
-        space, _, nsub, _ = _ac_relation_space(desc, deg, ball)
-        ranks = Counter(ball[piv // (nsub * f)] for piv in space.pivots())
-        # free this degree's space before the next one is built
-        del space
-        for beta in inside:
-            inside[beta] += f * nsub - ranks[beta]
-    return inside
+        nsub = len(subsets_of(params.r, deg))
+        if not (nsub and trailing):
+            continue
+        width = nsub * params.f
+        rows_at = _ac_row_builder(desc, deg, slice_pos, nsub)
+        leading = {}  # pivot column -> leading row
+        built = set(trailing)  # slices whose rows are not leading rows
+
+        def reduce_leading(vec):
+            vec = dict(vec)
+            heap = list(vec)
+            heapq.heapify(heap)
+            while heap:
+                col = heapq.heappop(heap)
+                c = vec.get(col)
+                if not c:
+                    continue
+                gamma = ball[col // width]
+                if gamma not in built:
+                    built.add(gamma)
+                    for row in rows_at(gamma):
+                        leading[min(row)] = row
+                row = leading.get(col)
+                if row is None:
+                    continue
+                for rc, rv in row.items():
+                    v = (vec.get(rc, 0) - c * rv) % p
+                    if v:
+                        if rc not in vec:
+                            heapq.heappush(heap, rc)
+                        vec[rc] = v
+                    else:
+                        vec.pop(rc, None)
+            return vec
+
+        space = RowSpace(params.fp)
+        for gamma in trailing:
+            rows = rows_at(gamma)
+            correction[gamma] += len(rows)
+            for row in rows:
+                space.add(reduce_leading(row))
+        for piv in space.pivots():
+            correction[ball[piv // width]] -= 1
+    return {beta: c for beta, c in correction.items() if c}
 
 
 def _check_radius(radius):
@@ -620,40 +687,46 @@ def _check_radius(radius):
 
 
 def _degree_box(r, radius):
+    """The degrees |beta|_inf <= radius, in ascending (product) order."""
     _check_radius(radius)
-    if r == 0:
-        return [()]
-    return sorted(itertools.product(range(-radius, radius + 1), repeat=r))
+    return list(itertools.product(range(-radius, radius + 1), repeat=r))
 
 
 def graded_order(desc, radius=DEFAULT_TABLE_RADIUS):
     """Exact group order (r = 0) or a per-degree GF(p)-dimension table (r >= 1).
 
-    Case II first fills the box slices inside the contraction ball from an
-    elimination of the ball alone (_ac_ball_table).  Every other slice of a
-    nonzero branch is a slice-diagonal quotient (_slice_fp_dim), which
-    depends on beta only through a residue class, so it is computed once
-    per class and copied to the rest of the box.  For 'theta' the class is
-    beta mod p^{s+1}: B_s at beta reads beta mod p^s, and the theta rows
-    read whether p^s divides beta and alpha = beta/p^s mod p.  For 'zmod'
-    and 'ac' it is beta mod p^{z_level}.  So a table costs one elimination
-    per class, plus one on the ball, however large radius is.
+    Every slice of a nonzero branch first gets its class entry: the
+    slice-diagonal quotient of _slice_fp_dim, which depends on beta only
+    through a residue class, so it is computed once per class and copied to
+    the rest of the box.  For 'theta' the class is beta mod p^{s+1}: B_s at
+    beta reads beta mod p^s, and the theta rows read whether p^s divides
+    beta and alpha = beta/p^s mod p.  For 'zmod' and 'ac' it is beta mod
+    p^{z_level}.  Case II then adds the correction from the (1+aC) rows
+    that trail their slice in the contraction ball (_ac_ball_correction).
+    So a table costs one elimination per class, plus one of the trailing
+    rows, however large radius is.
     """
     params = desc.params
     box = _degree_box(params.r, radius)
     if desc.branch == "zero":
-        table = {beta: 0 for beta in box}
+        table = dict.fromkeys(box, 0)
     else:
-        table = _ac_ball_table(desc, box) if desc.branch == "ac" else {}
         level = desc.b_level + 1 if desc.branch == "theta" else desc.z_level
         mod = params.p ** level
+        residues = [x % mod for x in range(-radius, radius + 1)]
         dims = {}
-        for beta in box:
-            if beta not in table:
-                key = tuple(x % mod for x in beta)
-                if key not in dims:
-                    dims[key] = _slice_fp_dim(desc, beta)
-                table[beta] = dims[key]
+        table = {}
+        # the box is in product order, so its classes are the products of
+        # the coordinates' residues
+        for beta, key in zip(box, itertools.product(residues, repeat=params.r)):
+            dim = dims.get(key)
+            if dim is None:
+                dim = dims[key] = _slice_fp_dim(desc, beta)
+            table[beta] = dim
+        if desc.branch == "ac":
+            for beta, c in _ac_ball_correction(desc).items():
+                if beta in table:
+                    table[beta] += c
     return params.p ** table[()] if params.r == 0 else table
 
 

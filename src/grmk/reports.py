@@ -62,9 +62,10 @@ def render_descriptor(desc, order_or_table):
         lines.append(f"order: {order_or_table}")
     else:
         lines.append("dim_units: GF(p)")
-        for beta in sorted(order_or_table):
-            key = ",".join(str(x) for x in beta)
-            lines.append(f"dim[{key}]: {order_or_table[beta]}")
+        # one pattern per table: r coordinates, then the entry
+        row = "dim[" + ",".join(["%d"] * desc.params.r) + "]: %d"
+        table = order_or_table
+        lines += [row % (*beta, table[beta]) for beta in sorted(table)]
     return lines
 
 

@@ -280,6 +280,38 @@ class TestShiftCheck:
         assert "orders: MISMATCH" in out and "consistent: no" in out
 
 
+PROBE_BASE = ["--p", "2", "--r", "2", "--e", "4", "--n", "2", "--q", "2",
+              "--a", "t1^1", "--m", "12"]
+
+
+class TestShiftCheckProbes:
+    def test_real_probes_are_consistent(self, capsys):
+        # a probe that passes adds no line: the report equals the one
+        # without probes
+        _, plain, _ = run_cli(capsys, "shift-check", *PROBE_BASE)
+        code, out, _ = run_cli(capsys, "shift-check", *PROBE_BASE,
+                               "--probe", "t1^1*dlog[1];t2^1", "--probe", ";t1^2")
+        assert code == 0 and out == plain
+        assert out.endswith("consistent: yes\n") and "probe_flag" not in out
+
+    def test_probe_flag(self, capsys, monkeypatch):
+        # a stand-in is_zero that reads the level n differs between the sides
+        monkeypatch.setattr("grmk.graded.is_zero", lambda el: el.desc.params.n > 1)
+        code, out, _ = run_cli(capsys, "shift-check", *PROBE_BASE,
+                               "--probe", "t1^1*dlog[1];t2^1", "--probe", ";t1^2")
+        assert code == 1 and out.endswith("consistent: no\n")
+        assert [line for line in out.splitlines() if line.startswith("probe_flag:")] == [
+            "probe_flag: (t1^1*dlog[1]; t2^1) zero_high=True zero_low=False",
+            "probe_flag: (0; t1^2) zero_high=True zero_low=False"]
+
+    @pytest.mark.parametrize("probe", ["t1^1*dlog[1]", "t1^1;t2^1", "t1^1*dlog[1];t2^1;0",
+                                       "t1^1*dlog[2,1];", ";x^1"])
+    def test_malformed_probe_is_a_usage_error(self, capsys, probe):
+        code, out, err = run_cli(capsys, "shift-check", *PROBE_BASE, "--probe", probe)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
 class TestSelftest:
     def test_default_passes(self, capsys):
         code, out, _ = run_cli(capsys, "selftest", "--cases", "5",

@@ -10,10 +10,11 @@ from grmk.forms import (B_KIND, Z_KIND, DiffForm, NotClosed, d, format_form,
 from grmk.graded import (CASE_I, CASE_II, CASE_III, OUT_OF_RANGE, PRIME,
                          CDVFParams, CoefficientNotIntegral, MalformedSymbol,
                          OutOfRangeLevel, PreconditionViolated, SymbolExpr,
-                         WindowOverflow, _ac_relation_space, _ac_window,
-                         _degree_box, _flatten_form, _shift_bound,
-                         _slice_fp_dim, _theta_columns, _theta_pair,
-                         _theta_relation_space, _theta_vec, classify,
+                         WindowOverflow, _ac_ball_correction,
+                         _ac_relation_space, _ac_window, _degree_box,
+                         _flatten_form, _shift_bound, _slice_fp_dim,
+                         _theta_columns, _theta_pair, _theta_relation_space,
+                         _theta_vec, classify,
                          descriptor, format_symbol, graded_order, is_zero,
                          level_shift_consistency, make_z_tower_element,
                          one_plus_ac, parse_symbol, reduce, symbol_to_forms,
@@ -321,6 +322,21 @@ def _reference_table(desc, radius):
     return params.p ** table[()] if params.r == 0 else table
 
 
+def _trailing_rows(desc):
+    """(1+aC) rows per form degree q-1, q-2 at the ball slices gamma with
+    p | gamma and an image gamma/p + delta at or before gamma."""
+    params = desc.params
+    p = params.p
+    ball = _ac_window(params, (), desc.window_cap)
+    pos = {g: i for i, g in enumerate(ball)}
+    trailing = [g for g in ball if not any(x % p for x in g)
+                and any(pos[tuple(x // p + dx for x, dx in zip(g, delta))] <= pos[g]
+                        for delta in params.a.terms)]
+    return [params.f * sum(len(subspace_basis(params.kctx, g, deg, Z_KIND, desc.z_level))
+                           for g in trailing)
+            for deg in (params.q - 1, params.q - 2)]
+
+
 # (p, f, e, n) with p^(n-1)(p-1) | e: theta levels with s = 0, 1, 2 and zmod
 # levels at p = 2, 3 and 5, over GF(p) and GF(p^2)
 _TABLE_FIELDS = [(2, 1, 2, 2), (2, 1, 2, 1), (2, 1, 4, 3), (3, 1, 6, 1),
@@ -344,9 +360,9 @@ def _table_as(p, f, r):
 
 
 class TestTablesByClass:
-    # graded_order computes a Case I slice once per residue class and
-    # eliminates Case II only on the contraction ball; its tables must equal
-    # the reference's entry for entry
+    # graded_order computes a slice once per residue class and corrects
+    # Case II from the rows that trail in the contraction ball; its tables
+    # must equal the reference's entry for entry
 
     def test_tables_match_reference(self, monkeypatch):
         ball_sizes = []
@@ -402,6 +418,65 @@ class TestTablesByClass:
         with pytest.raises(NotClosed):
             graded_order(desc, 1)
 
+    def test_correction_rows_are_checked_closed(self, monkeypatch):
+        # a = t1^1 at p = 2: the ball is |beta| <= 2, where (0,) trails and
+        # its row reaches the leading slice (1,).  The box of radius 0 is
+        # {(0,)}, so only the correction builds the rows at (1,), and it must
+        # see that t1 is not closed
+        desc = descriptor(CDVFParams(2, 1, 1, 2, 2, 1, "t1^1"), 4)
+        monkeypatch.setattr("grmk.graded.subspace_basis",
+                            lambda kctx, alpha, q, kind, s: [{0: 1}] if q == 0 else [])
+        with pytest.raises(NotClosed):
+            graded_order(desc, 0)
+
+    def test_no_relation_space_on_ac_levels(self, monkeypatch):
+        # a Case II table eliminates the trailing rows alone, never the
+        # (1+aC) row space of a window
+        descs = [descriptor(CDVFParams(p, f, r, e, n, q, a), m)
+                 for p, f, r, e, n, q, a, m in [
+                     (2, 1, 0, 2, 2, 1, "1", 4), (2, 1, 1, 2, 2, 1, "t1^1", 4),
+                     (2, 1, 2, 4, 2, 2, "t1^1+t2^-1", 12), (3, 1, 2, 6, 2, 3, "t2^-2", 9),
+                     (2, 2, 2, 4, 2, 2, "g^1*t1^-1", 8), (5, 1, 1, 4, 1, 1, "1+t1^2", 5)]]
+        assert all(desc.branch == "ac" for desc in descs)
+        wants = [_reference_table(desc, 3) for desc in descs]
+
+        def refuse(*args):
+            raise AssertionError("graded_order built a (1+aC) relation space")
+
+        monkeypatch.setattr("grmk.graded._ac_relation_space", refuse)
+        for desc, want in zip(descs, wants):
+            assert graded_order(desc, 3) == want, desc.params
+
+    @pytest.mark.parametrize("p,f,r,e,n,q,a,trailing", [
+        (2, 1, 3, 4, 3, 2, "t1^-2+t3^1", {8: [46, 6], 12: [102, 34], 16: [102, 34]}),
+        (2, 2, 2, 4, 2, 2, "g^1*t1^1", {8: [12, 6], 12: [12, 6]}),
+        (3, 1, 2, 6, 2, 2, "2*t1^2*t2^-1", {9: [6, 3], 15: [6, 3]})])
+    def test_tables_with_many_trailing_rows(self, p, f, r, e, n, q, a, trailing):
+        P = CDVFParams(p, f, r, e, n, q, a)
+        for m, counts in trailing.items():
+            desc = descriptor(P, m)
+            assert desc.branch == "ac"
+            assert _trailing_rows(desc) == counts
+            assert graded_order(desc, 3) == _reference_table(desc, 3), m
+
+    def test_r0_case_ii_orders(self):
+        # at r = 0 the ball is [()], a fixed point of the contraction that
+        # trails: the order is the class entry plus the correction at ()
+        seen = set()
+        for p, f, e, n in _TABLE_FIELDS:
+            for a in _table_as(p, f, 0):
+                for q in (1, 2):
+                    P = CDVFParams(p, f, 0, e, n, q, a)
+                    for i in range(1, n + 1):
+                        desc = descriptor(P, P.threshold(i))
+                        assert _ac_window(P, (), desc.window_cap) == [()]
+                        assert _trailing_rows(desc) == ([f, 0] if q == 1 else [0, f])
+                        assert set(_ac_ball_correction(desc)) <= {()}
+                        order = graded_order(desc)
+                        assert order == _reference_table(desc, 0), (P, i)
+                        seen.add(order)
+        assert len(seen) > 1
+
     @pytest.mark.parametrize("p,e,n,m,level", [(2, 4, 3, 1, 1), (2, 4, 3, 2, 2),
                                                (2, 4, 3, 4, 3), (3, 6, 2, 3, 2),
                                                (2, 2, 1, 2, 1), (3, 6, 1, 6, 1),
@@ -409,29 +484,30 @@ class TestTablesByClass:
                                                (3, 6, 2, 9, 1), (3, 18, 3, 27, 2)])
     def test_case_i_slices_once_per_class(self, monkeypatch, p, e, n, m, level):
         # a theta slice reads beta mod p^{s+1}, a zmod or ac slice beta mod
-        # p^{z_level}: a stand-in slice that returns its own class must come
-        # back at every beta outside the Case II ball (|beta| <= 2 for this
-        # a), from one call per class, and the ball keeps its own entries
+        # p^{z_level}: a stand-in slice that returns an integer code of its
+        # own class must be called once per class of the whole box, the
+        # Case II ball included, and come back at every beta outside the
+        # support of the Case II correction; on the support the correction
+        # is added to it
         desc = descriptor(CDVFParams(p, 1, 2, e, n, 2, "t1^1+t2^-1"), m)
         assert level == (desc.b_level + 1 if desc.branch == "theta" else desc.z_level)
-        radius = _shift_bound(desc.params) if desc.branch == "ac" else -1
-        want = _reference_table(desc, 4)
+        correction = _ac_ball_correction(desc) if desc.branch == "ac" else {}
+        assert bool(correction) == (desc.branch == "ac")
+        mod = p ** level
         calls = []
 
-        def cls(beta):
-            return tuple(x % p ** level for x in beta)
+        def code(beta):
+            return sum(x % mod * mod ** k for k, x in enumerate(beta))
 
         def class_of(desc, beta):
             calls.append(beta)
-            return cls(beta)
+            return code(beta)
 
         monkeypatch.setattr("grmk.graded._slice_fp_dim", class_of)
         table = graded_order(desc, 4)
-        outside = {beta for beta in table if max(map(abs, beta)) > radius}
-        assert outside and set(calls) <= outside
-        assert len(calls) == len({cls(beta) for beta in outside})
-        assert all(table[beta] == cls(beta) for beta in outside)
-        assert all(table[beta] == want[beta] for beta in table if beta not in outside)
+        assert sorted(map(code, calls)) == sorted({code(beta) for beta in table})
+        assert all(table[beta] == code(beta) + correction.get(beta, 0) for beta in table)
+        assert set(correction) <= set(table)
 
 
 class TestReduce:
