@@ -17,8 +17,8 @@ from .graded import (CDVFParams, GradedCase, GrDescriptor, GrElement,
                      CoefficientNotIntegral, WindowOverflow, MalformedSymbol,
                      PreconditionViolated)
 from .oracle import (EisensteinPoly, FieldContext, UnitGroupTable,
-                     GradedOrdersReport, build_field, filtered_unit_group,
-                     unit_group, gr_orders, compare, load_fixture,
-                     power_landing_ok, NotEisenstein, TooLarge, ParamsMismatch)
+                     build_field, filtered_unit_group, unit_group, compare,
+                     load_fixture, power_landing_ok, NotEisenstein, TooLarge,
+                     ParamsMismatch)
 
 __version__ = "0.1.0"

@@ -94,7 +94,7 @@ def cmd_verify_q1(args):
     lo, hi = (table if cutoff == N else oracle.filtered_unit_group(
                   oracle.build_field(poly, cutoff), args.n)
               for cutoff in (c_n + 1, c_n + 3))
-    stable = oracle.gr_orders(lo).same_orders(oracle.gr_orders(hi))
+    stable = lo.same_orders(hi)
     _emit(reports.render_compare(cmp_report, stable))
     return 0 if (cmp_report.all_match and stable) else 1
 
@@ -135,7 +135,8 @@ def build_parser():
     p_gr = sub.add_parser("gr", help="classify a level and print its presentation")
     _add_params_flags(p_gr)
     p_gr.add_argument("--m", type=int, required=True, help="filtration level")
-    p_gr.add_argument("--deg-window", type=int, default=3, dest="deg_window")
+    p_gr.add_argument("--deg-window", type=int, default=graded.DEFAULT_TABLE_RADIUS,
+                      dest="deg_window")
     p_gr.add_argument("--window-cap", type=int, default=graded.DEFAULT_WINDOW_CAP,
                       dest="window_cap")
     _human_or_machine(p_gr)
@@ -174,7 +175,8 @@ def build_parser():
     p_shift.add_argument("--probe", action="append", default=[], metavar="W1;W2",
                          help="element (w1, w2) whose zero test must agree at both "
                               "levels; an empty side is 0 (repeatable)")
-    p_shift.add_argument("--deg-window", type=int, default=3, dest="deg_window")
+    p_shift.add_argument("--deg-window", type=int, default=graded.DEFAULT_TABLE_RADIUS,
+                         dest="deg_window")
     p_shift.add_argument("--window-cap", type=int, default=graded.DEFAULT_WINDOW_CAP,
                          dest="window_cap")
     _human_or_machine(p_shift)

@@ -2,9 +2,10 @@
 restricted to Laurent-polynomial representatives.
 
 Scalars of GF(p^f) are encoded as integers in [0, p^f): the base-p digits of
-the code are the coordinates with respect to the power basis of the stored
-modulus root.  Multiplication runs through exp/log tables built from a
-primitive element, so Frobenius, its inverse, and inversion are O(1) lookups.
+the code are the coordinates with respect to the power basis of a root of
+the modulus stored for (p, f) in DEFAULT_MODULI.  Multiplication runs
+through exp/log tables built from a primitive element, so Frobenius, its
+inverse, and inversion are O(1) lookups.
 
 Text grammar for k-elements (used by the CLI and test fixtures)::
 
@@ -20,9 +21,10 @@ from __future__ import annotations
 
 import re
 
-# Monic irreducible (and primitive-root-friendly) moduli for small (p, f),
-# ascending coefficients.  Any irreducible works: a primitive element is
-# located by search when the root itself is not primitive.
+# The one modulus of GF(p^f) for each supported f > 1 (f = 1 needs none):
+# monic irreducible of degree f, ascending coefficients.  Any irreducible
+# would do, since a primitive element is located by search, but the field
+# codes, the `g^k` grammar and every report are written against these.
 DEFAULT_MODULI = {
     (2, 2): [1, 1, 1],
     (2, 3): [1, 1, 0, 1],
@@ -70,7 +72,7 @@ def _is_prime(n):
 class FqContext:
     """Arithmetic tables for GF(p^f); elements are integer codes in [0, p^f)."""
 
-    def __init__(self, p, f=1, modulus=None):
+    def __init__(self, p, f=1):
         if not _is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         if f < 1:
@@ -78,16 +80,9 @@ class FqContext:
         self.p = p
         self.f = f
         self.q = p ** f
-        if f == 1:
-            self.modulus = [0, 1]
-        else:
-            if modulus is None:
-                modulus = DEFAULT_MODULI.get((p, f))
-                if modulus is None:
-                    raise ValueError(f"no default modulus stored for (p, f) = ({p}, {f})")
-            if len(modulus) != f + 1 or modulus[-1] % p != 1:
-                raise ValueError("modulus must be monic of degree f")
-            self.modulus = [c % p for c in modulus]
+        self.modulus = [0, 1] if f == 1 else DEFAULT_MODULI.get((p, f))
+        if self.modulus is None:
+            raise ValueError(f"no default modulus stored for (p, f) = ({p}, {f})")
         self._build_tables()
 
     # -- raw polynomial arithmetic used only to bootstrap the tables
@@ -227,11 +222,11 @@ class FqContext:
         return range(self.q)
 
     def __eq__(self, other):
-        return (isinstance(other, FqContext)
-                and (self.p, self.f, tuple(self.modulus)) == (other.p, other.f, tuple(other.modulus)))
+        # the modulus is a function of (p, f)
+        return isinstance(other, FqContext) and (self.p, self.f) == (other.p, other.f)
 
     def __hash__(self):
-        return hash((self.p, self.f, tuple(self.modulus)))
+        return hash((self.p, self.f))
 
     def __repr__(self):
         return f"FqContext(p={self.p}, f={self.f})"
@@ -240,8 +235,8 @@ class FqContext:
 class KContext:
     """The residue field k = GF(p^f)(t_1, ..., t_r) with {t_i} as p-basis."""
 
-    def __init__(self, p, f=1, r=0, modulus=None):
-        self.fq = FqContext(p, f, modulus)
+    def __init__(self, p, f=1, r=0):
+        self.fq = FqContext(p, f)
         if r < 0:
             raise ValueError("r must be >= 0")
         self.p = p

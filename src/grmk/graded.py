@@ -91,8 +91,8 @@ def vp(n, p):
 class CDVFParams:
     """Arithmetic context (p, f, r, e, n, q, a) for the graded quotients."""
 
-    def __init__(self, p, f, r, e, n, q, a, modulus=None):
-        kctx = KContext(p, f, r, modulus)
+    def __init__(self, p, f, r, e, n, q, a):
+        kctx = KContext(p, f, r)
         if e < 1 or n < 1 or q < 1:
             raise ValueError("e, n, q must all be >= 1")
         if e % (p - 1) != 0:
@@ -126,8 +126,7 @@ class CDVFParams:
         return 0 if i == 0 else i * self.e + self.e0
 
     def with_level(self, n):
-        return CDVFParams(self.p, self.f, self.r, self.e, n, self.q, self.a,
-                          modulus=self.kctx.fq.modulus if self.f > 1 else None)
+        return CDVFParams(self.p, self.f, self.r, self.e, n, self.q, self.a)
 
     def __repr__(self):
         return (f"CDVFParams(p={self.p}, f={self.f}, r={self.r}, e={self.e}, "
@@ -745,11 +744,11 @@ class SymbolExpr:
     def __init__(self, m, u, tail):
         if u is None or u.is_zero():
             raise MalformedSymbol("the unit residue u must be nonzero")
-        primes = sum(1 for t in tail if t is PRIME or t == PRIME)
+        primes = sum(1 for t in tail if t == PRIME)
         if primes > 1:
             raise MalformedSymbol("at most one prime-element entry is allowed")
         for t in tail:
-            if t is PRIME or t == PRIME:
+            if t == PRIME:
                 continue
             if not isinstance(t, LaurentPoly) or len(t.terms) != 1:
                 raise MalformedSymbol(f"tail entry {t!r} is not a monomial")
@@ -789,19 +788,15 @@ def symbol_to_forms(params, sym):
     desc = descriptor(params, sym.m)
     prime_pos = [j for j, t in enumerate(sym.tail) if t == PRIME]
     u = sym.u
-    if prime_pos:
-        j = prime_pos[0]
-        transpositions = (q - 2) - j
-        if transpositions % 2 == 1:
-            u = -u
-        rest = [t for t in sym.tail if t != PRIME]
-        w = DiffForm.from_poly(u)
-        for mono in rest:
-            w = wedge(w, _dlog_of_monomial(kctx, mono))
-        return GrElement(desc, DiffForm.zero(kctx, q - 1), w)
+    # moving the prime from slot j to slot q-2 takes (q-2) - j transpositions
+    if prime_pos and ((q - 2) - prime_pos[0]) % 2 == 1:
+        u = -u
     w = DiffForm.from_poly(u)
     for mono in sym.tail:
-        w = wedge(w, _dlog_of_monomial(kctx, mono))
+        if mono != PRIME:
+            w = wedge(w, _dlog_of_monomial(kctx, mono))
+    if prime_pos:
+        return GrElement(desc, DiffForm.zero(kctx, q - 1), w)
     return GrElement(desc, w, DiffForm.zero(kctx, q - 2))
 
 
@@ -914,11 +909,7 @@ def level_shift_consistency(params, m, probes=(), radius=DEFAULT_TABLE_RADIUS,
         for beta in sorted(t_high):
             if t_high[beta] != t_low[beta]:
                 report.dim_mismatches.append((beta, t_high[beta], t_low[beta]))
-    for probe in probes:
-        if isinstance(probe, GrElement):
-            w1, w2 = probe.w1, probe.w2
-        else:
-            w1, w2 = probe
+    for w1, w2 in probes:
         z_high = is_zero(GrElement(d_high, w1, w2))
         z_low = is_zero(GrElement(d_low, w1, w2))
         if z_high != z_low:

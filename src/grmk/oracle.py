@@ -14,7 +14,8 @@ equals the intersection of (K^x)^{p^n} with the 1-units up to level N
 because a p^n-th power pi^{a p^n} zeta^{p^n} u^{p^n} is a 1-unit only when
 a = 0 and zeta = 1; the companion check `power_landing_ok` exercises that
 claim on non-1-units.  Orders of the graded quotients come from the counts
-|P intersect H_m|, measured in two independent ways:
+|P intersect H_m|, measured in two independent ways, each returning a
+`UnitGroupTable` that holds the counts and the orders they give:
 
 * `filtered_unit_group` (used by `compare` and `verify-q1`) takes the
   generators g_{j,t} = 1 + y^t pi^j of H, raises them to the p^n-th power
@@ -68,7 +69,7 @@ class EisensteinPoly:
     others of positive valuation -- is checked at construction.
     """
 
-    def __init__(self, p, f, coeffs, modulus=None):
+    def __init__(self, p, f, coeffs):
         if len(coeffs) < 2 or coeffs[-1] != 1:
             raise NotEisenstein("polynomial must be monic of degree >= 1")
         e = len(coeffs) - 1
@@ -82,7 +83,6 @@ class EisensteinPoly:
         self.f = f
         self.e = e
         self.coeffs = list(coeffs)
-        self.modulus = modulus
 
     def __repr__(self):
         return f"EisensteinPoly(p={self.p}, f={self.f}, coeffs={self.coeffs})"
@@ -124,7 +124,7 @@ class FieldContext:
         self.poly = poly
         p, f, e = poly.p, poly.f, poly.e
         self.p, self.f, self.e, self.N = p, f, e, N
-        self.fq = FqContext(p, f, poly.modulus)
+        self.fq = FqContext(p, f)
         self._mods = tuple(p ** math.ceil((N - j) / e)
                            for j in range(e) for _ in range(f))
         # a product has pi-degree <= 2e-2 and y-degree <= 2f-2; the
@@ -214,19 +214,6 @@ class FieldContext:
                 best = min(best, self.e * v + i // self.f)
         return best
 
-    def is_unit(self, x):
-        return self.val(x) == 0
-
-    def unit_inv(self, x):
-        if not self.is_unit(x):
-            raise ZeroDivisionError("not a unit")
-        y = self.lift(self.fq.inv(self.residue(x)))
-        steps = max(1, math.ceil(math.log2(self.N)) + 1)
-        two = self.from_int(2)
-        for _ in range(steps):
-            y = self.mul(y, self.sub(two, self.mul(x, y)))
-        return y
-
     def residue(self, x):
         code = 0
         for c in reversed(x[:self.f]):
@@ -265,12 +252,18 @@ def build_field(poly, N):
 # the unit group modulo p^n-th powers
 
 class UnitGroupTable:
-    """H = (1 + pi O_K)/(1 + pi^N O_K) with its subgroup P of p^n-th powers.
+    """H = (1 + pi O_K)/(1 + pi^N O_K) with its subgroup P of p^n-th powers,
+    and the orders of the graded quotients measured from them.
 
-    Only the counts |H_m intersect P| are kept, as p_level_counts[m] for
+    The counts |H_m intersect P| are kept as p_level_counts[m] for
     1 <= m <= N; |H_m| is p^{f(N-m)} on the nose.  `filtered_unit_group`
     reads the counts off a filtered basis of P, `unit_group` counts the
     enumerated P-elements of level >= m; both give the same table.
+
+    orders[m] (1 <= m < N) is |gr^m|, the ratio hp_index(m) / hp_index(m+1)
+    of the indices [H_m : H_m intersect P], and total_u1_image = [H : P] is
+    their product.  gr0_pi and gr0_teich are the level-0 parts from the
+    prime element and the Teichmueller units.
     """
 
     def __init__(self, ctx, n, p_level_counts, p_size):
@@ -279,6 +272,18 @@ class UnitGroupTable:
         self.N = ctx.N
         self.p_level_counts = p_level_counts  # m -> #{x in P : v(x-1) >= m}
         self.p_size = p_size
+        self.orders = {}
+        for m in range(1, ctx.N):
+            num = self.hp_index(m)
+            den = self.hp_index(m + 1)
+            if num % den:
+                raise AssertionError("filtration indices do not telescope")
+            self.orders[m] = num // den
+        # level 0 carries the prime element and Teichmueller contributions,
+        # which do not mix with the 1-unit filtration
+        self.gr0_pi = ctx.p ** n
+        self.gr0_teich = math.gcd(ctx.p ** ctx.f - 1, ctx.p ** n)
+        self.total_u1_image = self.hp_index(1)
 
     def h_size(self, m=1):
         if m >= self.N:
@@ -292,6 +297,17 @@ class UnitGroupTable:
         if size % inter:
             raise AssertionError("intersection size does not divide the level size")
         return size // inter
+
+    def same_orders(self, other):
+        """True when the overlapping levels and the total agree."""
+        common = range(1, min(self.N, other.N))
+        if any(self.orders[m] != other.orders[m] for m in common):
+            return False
+        longer = self if self.N >= other.N else other
+        for m in range(min(self.N, other.N), longer.N):
+            if longer.orders[m] != 1:
+                return False
+        return self.total_u1_image == other.total_u1_image
 
 
 def _check_cutoff(ctx, n):
@@ -405,50 +421,14 @@ def unit_group(ctx, n, cap=DEFAULT_ENUM_CAP):
     return UnitGroupTable(ctx, n, counts, len(p_elems))
 
 
-class GradedOrdersReport:
-    """Per-level orders of the graded quotients measured on a concrete field."""
+def power_landing_ok(ctx, n):
+    """p^n-th powers of non-1-units never land among nontrivial 1-units.
 
-    def __init__(self, table):
-        ctx = table.ctx
-        self.N = ctx.N
-        self.n = table.n
-        self.p = ctx.p
-        self.f = ctx.f
-        self.e = ctx.e
-        self.orders = {}
-        for m in range(1, ctx.N):
-            num = table.hp_index(m)
-            den = table.hp_index(m + 1)
-            if num % den:
-                raise AssertionError("filtration indices do not telescope")
-            self.orders[m] = num // den
-        # level 0 carries the prime element and Teichmueller contributions,
-        # which do not mix with the 1-unit filtration
-        self.gr0_pi = ctx.p ** table.n
-        self.gr0_teich = math.gcd(ctx.p ** ctx.f - 1, ctx.p ** table.n)
-        self.total_u1_image = table.hp_index(1)
-
-    def same_orders(self, other):
-        """True when the overlapping levels and the total agree."""
-        common = range(1, min(self.N, other.N))
-        if any(self.orders[m] != other.orders[m] for m in common):
-            return False
-        longer = self if self.N >= other.N else other
-        for m in range(min(self.N, other.N), longer.N):
-            if longer.orders[m] != 1:
-                return False
-        return self.total_u1_image == other.total_u1_image
-
-
-def gr_orders(table):
-    return GradedOrdersReport(table)
-
-
-def power_landing_ok(ctx, n, sample_codes=None):
-    """p^n-th powers of non-1-units never land among nontrivial 1-units."""
+    Checked on the Teichmueller lifts of the residue codes 2..9 (those below
+    q) and on one element of valuation 1.
+    """
     pn = ctx.p ** n
-    codes = sample_codes if sample_codes is not None else list(range(2, ctx.fq.q))[:8]
-    for code in codes:
+    for code in range(2, min(ctx.fq.q, 10)):
         zeta = ctx.teichmuller(code)
         x = ctx.pow(zeta, pn)
         if ctx.residue(x) == 1 and ctx.val(ctx.sub(x, ctx.one())) >= 1:
@@ -490,11 +470,10 @@ def compare(ctx, params, table=None):
             f"a mismatch: params carry {params.a}, the field gives {a_ctx}")
     if table is None:
         table = filtered_unit_group(ctx, params.n)
-    report = gr_orders(table)
     rows = []
     for m in range(1, ctx.N):
         desc = graded.descriptor(params, m)
         engine = graded.graded_order(desc)
-        oracle = report.orders[m]
+        oracle = table.orders[m]
         rows.append((m, oracle, engine, oracle == engine))
-    return CompareReport(rows, report.gr0_pi)
+    return CompareReport(rows, table.gr0_pi)

@@ -16,6 +16,9 @@ from .graded import (CDVFParams, descriptor, is_zero, make_z_tower_element,
 from .linalg import rank_of
 
 EXP_LO, EXP_HI = -6, 6
+MAX_R = 3
+ELEMENT_TERMS = 3   # at most this many terms per random element
+FORM_TERMS = 2      # at most this many random components per random form
 
 
 def check(ok, detail=""):
@@ -27,32 +30,25 @@ def check(ok, detail=""):
 # ---------------------------------------------------------------------------
 # random generators
 
-def rand_context(rng, max_r=3):
+def rand_context(rng):
     p, f = rng.choice([(2, 1), (2, 1), (3, 1), (5, 1), (2, 2)])
-    return KContext(p, f, rng.randint(0, max_r))
+    return KContext(p, f, rng.randint(0, MAX_R))
 
 
-def rand_element(rng, kctx, max_terms=3):
+def rand_element(rng, kctx):
     terms = {}
-    for _ in range(rng.randint(0, max_terms)):
+    for _ in range(rng.randint(0, ELEMENT_TERMS)):
         alpha = tuple(rng.randint(EXP_LO, EXP_HI) for _ in range(kctx.r))
         terms[alpha] = rng.randint(1, kctx.fq.q - 1)
     return LaurentPoly(kctx, terms)
 
 
-def rand_nonzero_element(rng, kctx, max_terms=3):
-    while True:
-        x = rand_element(rng, kctx, max_terms)
-        if not x.is_zero():
-            return x
-
-
-def rand_form(rng, kctx, q, max_terms=2):
+def rand_form(rng, kctx, q):
     subs = subsets_of(kctx.r, q)
     if not subs:
         return DiffForm.zero(kctx, q)
     form = DiffForm.zero(kctx, q)
-    for _ in range(rng.randint(0, max_terms)):
+    for _ in range(rng.randint(0, FORM_TERMS)):
         s = subs[rng.randrange(len(subs))]
         form = form + DiffForm(kctx, q, {s: rand_element(rng, kctx)})
     return form
@@ -70,12 +66,10 @@ def _rand_b_member(rng, kctx, q, s):
     return w
 
 
-def _rand_graded_params(rng, r=None, q=None):
+def _rand_graded_params(rng):
     p, e, n = rng.choice([(2, 2, 2), (2, 4, 2), (3, 6, 2)])
-    if r is None:
-        r = rng.randint(0, 1)
-    if q is None:
-        q = rng.randint(1, 2)
+    r = rng.randint(0, 1)
+    q = rng.randint(1, 2)
     a_choices = ["1"] if r == 0 else ["1", "t1^1"]
     if p == 3:
         a_choices.append("2")

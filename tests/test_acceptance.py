@@ -12,7 +12,7 @@ import time
 from grmk import cli
 from grmk.graded import (CASE_III, CDVFParams, classify, descriptor,
                          graded_order, level_shift_consistency)
-from grmk.oracle import build_field, gr_orders, load_fixture, unit_group
+from grmk.oracle import build_field, load_fixture, unit_group
 from grmk.selftest import PROPERTIES
 
 SEED = 7
@@ -40,8 +40,7 @@ def test_criterion_1_oracle_equivalence_q2_gaussian(fixtures_dir):
     start = time.monotonic()
     poly = load_fixture(fixtures_dir / "q2_gaussian.field")
     ctx = build_field(poly, _c_n(poly, 2) + 1)
-    table = unit_group(ctx, 2)
-    rep = gr_orders(table)
+    rep = unit_group(ctx, 2)
     oracle_orders = [rep.orders[m] for m in range(1, 7)]
     assert oracle_orders == GOLDEN_Q2I
     assert rep.total_u1_image == 64
@@ -60,7 +59,7 @@ def test_criterion_2_oracle_equivalence_q3_zeta3(fixtures_dir):
     start = time.monotonic()
     poly = load_fixture(fixtures_dir / "q3_zeta3.field")
     ctx = build_field(poly, _c_n(poly, 1) + 1)
-    rep = gr_orders(unit_group(ctx, 1))
+    rep = unit_group(ctx, 1)
     oracle_orders = [rep.orders[m] for m in range(1, 4)]
     assert oracle_orders == GOLDEN_Q3Z
     assert rep.total_u1_image == 27
@@ -81,7 +80,7 @@ def test_criterion_3_vanishing_beyond_top_threshold(fixtures_dir):
         poly = load_fixture(fixtures_dir / name)
         c_n = _c_n(poly, n)
         ctx = build_field(poly, c_n + 5)
-        rep = gr_orders(unit_group(ctx, n))
+        rep = unit_group(ctx, n)
         params = _fixture_params(poly, n, ctx)
         for m in range(c_n + 1, c_n + 5):
             assert rep.orders[m] == 1, (name, m, rep.orders[m])
@@ -94,8 +93,8 @@ def test_criterion_4_stabilization(fixtures_dir):
     for name, n in FIXTURE_SPECS:
         poly = load_fixture(fixtures_dir / name)
         c_n = _c_n(poly, n)
-        rep_lo = gr_orders(unit_group(build_field(poly, c_n + 1), n))
-        rep_hi = gr_orders(unit_group(build_field(poly, c_n + 3), n))
+        rep_lo = unit_group(build_field(poly, c_n + 1), n)
+        rep_hi = unit_group(build_field(poly, c_n + 3), n)
         assert rep_lo.same_orders(rep_hi), name
         for m in rep_lo.orders:
             assert rep_lo.orders[m] == rep_hi.orders[m], (name, m)

@@ -44,6 +44,13 @@ class TestGr:
         assert code == 2
         assert "e_0" in err
 
+    def test_field_without_stored_modulus_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "gr", "--p", "2", "--f", "5", "--r", "0",
+                                 "--e", "2", "--n", "2", "--q", "1", "--a", "1",
+                                 "--m", "4")
+        assert code == 2 and out == ""
+        assert err == "error: no default modulus stored for (p, f) = (2, 5)\n"
+
     def test_dim_table_r1(self, capsys):
         code, out, _ = run_cli(capsys, "gr", "--p", "2", "--f", "1", "--r", "1",
                                "--e", "2", "--n", "2", "--q", "1", "--a", "1",

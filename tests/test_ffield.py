@@ -4,8 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grmk.ffield import (ContextMismatch, FqContext, KContext, LaurentPoly,
-                         NotAPthPower, ParseError, format_element,
+from grmk.ffield import (DEFAULT_MODULI, ContextMismatch, FqContext, KContext,
+                         LaurentPoly, NotAPthPower, ParseError, format_element,
                          parse_element)
 
 
@@ -20,7 +20,7 @@ class TestFqContext:
         assert fq.add(4, 3) == 2
         assert fq.inv(2) == 3
 
-    @pytest.mark.parametrize("p,f", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (5, 2)])
+    @pytest.mark.parametrize("p,f", [(2, 1), (3, 1), *sorted(DEFAULT_MODULI)])
     def test_frobenius_bijection(self, p, f):
         fq = FqContext(p, f)
         seen = set()
@@ -43,6 +43,35 @@ class TestFqContext:
     def test_nonprime_rejected(self):
         with pytest.raises(ValueError):
             FqContext(6)
+
+    @pytest.mark.parametrize("p,f", sorted(DEFAULT_MODULI))
+    def test_tables_match_the_stored_modulus(self, p, f):
+        # every product of codes, and the order of the generator, checked
+        # against polynomial arithmetic modulo the stored modulus done here
+        fq = FqContext(p, f)
+        modulus = DEFAULT_MODULI[(p, f)]
+        assert fq.modulus == modulus and fq.q == p ** f
+
+        def poly_mul(a, b):
+            da = [a // p ** i % p for i in range(f)]
+            db = [b // p ** i % p for i in range(f)]
+            prod = [0] * (2 * f - 1)
+            for i in range(f):
+                for j in range(f):
+                    prod[i + j] += da[i] * db[j]
+            for i in range(2 * f - 2, f - 1, -1):
+                for j in range(f + 1):
+                    prod[i - f + j] -= prod[i] * modulus[j]
+            return sum(c % p * p ** i for i, c in enumerate(prod[:f]))
+
+        for a in fq.elements():
+            for b in fq.elements():
+                assert fq.mul(a, b) == poly_mul(a, b)
+        # the generator has order q - 1, so the modulus is irreducible
+        x, order = fq.gen, 1
+        while x != 1:
+            x, order = poly_mul(x, fq.gen), order + 1
+        assert order == fq.q - 1
 
 
 class TestLaurentPoly:

@@ -11,7 +11,7 @@ from grmk.graded import CDVFParams
 from grmk import oracle
 from grmk.oracle import (EisensteinPoly, NotEisenstein, ParamsMismatch,
                          TooLarge, build_field, compare, filtered_basis,
-                         filtered_unit_group, gr_orders, load_fixture,
+                         filtered_unit_group, load_fixture,
                          power_landing_ok, unit_group)
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -78,12 +78,6 @@ class TestFieldContext:
                           ctx.mul(pi_e, ctx.lift(a)))
             assert ctx.val(lhs) > ctx.e
 
-    def test_unit_inverse(self):
-        ctx = build_field(Q2I, 7)
-        u = ctx.add(ctx.one(), ctx.pi())
-        inv = ctx.unit_inv(u)
-        assert ctx.mul(u, inv) == ctx.one()
-
     def test_gaussian_unit_torsion(self):
         # 1 + pi = i in Q_2(i): its 4th power is exactly 1
         ctx = build_field(Q2I, 7)
@@ -148,14 +142,10 @@ class TestUnitGroup:
             unit_group(ctx, 2, cap=32)
 
     def test_u1_image_order_gaussian(self):
-        table = unit_group(build_field(Q2I, 7), 2)
-        rep = gr_orders(table)
-        assert rep.total_u1_image == 64
+        assert unit_group(build_field(Q2I, 7), 2).total_u1_image == 64
 
     def test_u1_image_order_zeta3(self):
-        table = unit_group(build_field(Q3Z, 5), 1)
-        rep = gr_orders(table)
-        assert rep.total_u1_image == 27
+        assert unit_group(build_field(Q3Z, 5), 1).total_u1_image == 27
 
     def test_power_landing(self):
         assert power_landing_ok(build_field(Q2I, 7), 2)
@@ -165,22 +155,22 @@ class TestUnitGroup:
 
 class TestGrOrders:
     def test_gaussian_profile(self):
-        rep = gr_orders(unit_group(build_field(Q2I, 7), 2))
+        rep = unit_group(build_field(Q2I, 7), 2)
         assert [rep.orders[m] for m in range(1, 7)] == [2] * 6
 
     def test_zeta3_profile(self):
-        rep = gr_orders(unit_group(build_field(Q3Z, 5), 1))
+        rep = unit_group(build_field(Q3Z, 5), 1)
         assert [rep.orders[m] for m in range(1, 4)] == [3] * 3
         assert rep.orders[4] == 1
 
     def test_telescoping(self):
         for poly, n, N in ((Q2I, 2, 8), (Q3Z, 1, 6), (Q2S, 1, 7)):
-            rep = gr_orders(unit_group(build_field(poly, N), n))
+            rep = unit_group(build_field(poly, N), n)
             prod = math.prod(rep.orders.values())
             assert prod == rep.total_u1_image
 
     def test_gr0_parts(self):
-        rep = gr_orders(unit_group(build_field(Q2I, 7), 2))
+        rep = unit_group(build_field(Q2I, 7), 2)
         assert rep.gr0_pi == 4
         assert rep.gr0_teich == 1
 
@@ -188,23 +178,23 @@ class TestGrOrders:
         for poly, n in ((Q2I, 2), (Q3Z, 1), (Q2S, 1)):
             e0 = poly.e // (poly.p - 1)
             c_n = n * poly.e + e0
-            lo = gr_orders(unit_group(build_field(poly, c_n + 1), n))
-            hi = gr_orders(unit_group(build_field(poly, c_n + 3), n))
+            lo = unit_group(build_field(poly, c_n + 1), n)
+            hi = unit_group(build_field(poly, c_n + 3), n)
             assert lo.same_orders(hi)
 
     def test_shift_shadow(self):
         # the level shift on the oracle side: order(gr^m at n) equals
         # order(gr^{m-e} at n-1) whenever p^(n-1)(p-1) | e
-        rep2 = gr_orders(unit_group(build_field(Q2I, 9), 2))
-        rep1 = gr_orders(unit_group(build_field(Q2I, 7), 1))
+        rep2 = unit_group(build_field(Q2I, 9), 2)
+        rep1 = unit_group(build_field(Q2I, 7), 1)
         for m in range(Q2I.e + 2 + 1, 7):
             assert rep2.orders[m] == rep1.orders[m - Q2I.e]
 
     def test_shift_shadow_surjectivity_only(self):
         # without a p^n-th root of unity only surjectivity is guaranteed:
         # order at level n is bounded by the shifted order at level n-1
-        rep2 = gr_orders(unit_group(build_field(Q2S, 9), 2))
-        rep1 = gr_orders(unit_group(build_field(Q2S, 7), 1))
+        rep2 = unit_group(build_field(Q2S, 9), 2)
+        rep1 = unit_group(build_field(Q2S, 7), 1)
         for m in range(Q2S.e + 2 + 1, 7):
             assert rep2.orders[m] <= rep1.orders[m - Q2S.e]
         # and the bound is strict somewhere for Q_2(sqrt 2): zeta_4 is absent
@@ -240,7 +230,7 @@ class TestCompare:
         ctx = build_field(poly, e + e // (p - 1) + 1)
         table = unit_group(ctx, 1)
         assert compare(ctx, CDVFParams(p, f, 0, e, 1, 1, a), table).all_match
-        assert gr_orders(table).total_u1_image == u1_image == p ** (e * f) * p
+        assert table.total_u1_image == u1_image == p ** (e * f) * p
 
     def test_beyond_top_threshold_rows_are_one(self):
         ctx = build_field(Q2I, 10)
@@ -314,7 +304,7 @@ class TestFilteredOracle:
         assert table.p_size == brute.p_size
         # |U^1/(U^1)^{p^n}| = p^{nef} p^n holds exactly when mu_{p^n} is in
         # K; Q_2(sqrt 2) at n = 2 gives 32, not 64
-        total = gr_orders(table).total_u1_image
+        total = table.total_u1_image
         assert (total == poly.p ** (n * poly.e * poly.f + n)) == has_mu
 
     @pytest.mark.parametrize("poly, N", [(Q2I, 7), (Q2S, 6), (Q3Z, 5),
