@@ -49,8 +49,6 @@ def _human_or_machine(sub):
 
 def cmd_gr(args):
     params = _params_from(args)
-    if args.m < 1:
-        raise OutOfRangeLevel("levels start at m = 1 (gr^0 is outside this presentation)")
     desc = descriptor(params, args.m, window_cap=args.window_cap)
     result = graded_order(desc, radius=args.deg_window)
     _emit(reports.render_descriptor(desc, result))
@@ -79,13 +77,10 @@ def cmd_symbol(args):
 
 def cmd_verify_q1(args):
     poly = oracle.load_fixture(args.fixture)
-    if poly.e % (poly.p - 1) != 0:
-        raise ValueError(f"(p-1) does not divide e = {poly.e}: e_0 is not integral")
-    e0 = poly.e // (poly.p - 1)
-    c_n = args.n * poly.e + e0
+    # CDVFParams rejects a non-integral e_0, and filtered_unit_group a cutoff
+    # N <= c_n, so the floor here only picks the default cutoff
+    c_n = args.n * poly.e + poly.e // (poly.p - 1)
     N = args.N if args.N is not None else c_n + 3
-    if N <= c_n:
-        raise ValueError(f"cutoff N = {N} must exceed c_n = n*e + e_0 = {c_n}")
     ctx = oracle.build_field(poly, N)
     params = CDVFParams(poly.p, poly.f, 0, poly.e, args.n, 1, str(ctx.a_residue()))
     table = oracle.filtered_unit_group(ctx, args.n)

@@ -34,7 +34,6 @@ and constant on cosets.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import re
@@ -306,7 +305,9 @@ class GrElement:
 
 def descriptor(params, m, window_cap=DEFAULT_WINDOW_CAP):
     if m < 1:
-        raise OutOfRangeLevel("levels start at m = 1")
+        raise OutOfRangeLevel("levels start at m = 1 (gr^0 is outside this presentation)")
+    if window_cap < 1:
+        raise ValueError(f"the window cap must be at least 1, not {window_cap}")
     return GrDescriptor(params, m, classify(params, m), window_cap)
 
 
@@ -355,8 +356,7 @@ def _theta_relation_space(desc, beta, subs1, subs2):
     rows2 = subspace_basis(kctx, beta, q - 2, kind, level)
     if desc.branch == "ac" and any(x % params.p for x in beta):
         for deg, rows in ((q - 1, rows1), (q - 2, rows2)):
-            if rows and deg < params.r:
-                _check_closed(kctx.fq, rows, koszul_slice(kctx, beta, deg + 1)[0])
+            _check_closed(kctx, beta, deg, rows)
     space = RowSpace.from_echelon(
         kctx.fq, rows1 + [{col2[subs2[i]]: c for i, c in row.items()} for row in rows2])
     ps = params.p ** level
@@ -411,20 +411,16 @@ def _shift_bound(params):
     return math.ceil(params.p * amax / (params.p - 1))
 
 
-def _ac_window(params, seed_slices, cap):
+def _ac_closure(params, seeds, cap):
+    """The seeds and every slice they reach under gamma -> gamma/p + delta,
+    for the terms t^delta of a, in expansion-dominant order."""
     p = params.p
-    r = params.r
-    radius = _shift_bound(params)
-    window = set(seed_slices)
-    if r == 0:
-        window.add(())
-    else:
-        window.update(itertools.product(range(-radius, radius + 1), repeat=r))
+    window = set(seeds)
     shifts = sorted(params.a.terms)
     queue = list(window)
     while queue:
-        # checked once per slice taken: first the seeded window, then every
-        # slice the closure adds, since each added slice is queued
+        # checked once per slice taken: first the seeds, then every slice
+        # the closure adds, since each added slice is queued
         if len(window) > cap:
             raise WindowOverflow(f"degree window exceeded the configured cap {cap}")
         gamma = queue.pop()
@@ -438,6 +434,13 @@ def _ac_window(params, seed_slices, cap):
     # expansion-dominant order: larger sup-norm degrees come first, so every
     # relation generator pivots on the degree of its tower part
     return sorted(window, key=lambda g: (-max((abs(x) for x in g), default=0), g))
+
+
+def _ac_window(params, seed_slices, cap):
+    """The closure of the seeds and the contraction ball."""
+    radius = _shift_bound(params)
+    ball = itertools.product(range(-radius, radius + 1), repeat=params.r)
+    return _ac_closure(params, itertools.chain(seed_slices, ball), cap)
 
 
 def _flatten_form(params, w, subs, slice_pos, nsub):
@@ -461,44 +464,47 @@ def _unflatten(params, vec, subs, slices, nsub):
     return comps
 
 
-def _ac_row_builder(desc, deg, slice_pos, nsub):
-    """rows_at(gamma): the GF(p) rows of (1+aC) on the Z_{z_level} slice at
-    gamma, one per basis row z and basis power x^l of GF(p^f), on the
-    columns of the window slice_pos indexes."""
-    # A row z = sum_i c_i t^gamma dlog S_i of the Z-slice at gamma, times
-    # x^l, gives the relation (1+aC)(x^l z) with codes
+def _ac_relation_space(desc, deg, slices):
+    """Row space of (1+aC) applied to the tower slices, over GF(p).
+
+    slices must be closed under the contraction.  Also returns the
+    deg-subsets, their count and each slice's column block.
+    """
+    # A row z = sum_i c_i t^gamma dlog S_i of the Z_{z_level}-slice at gamma,
+    # times a basis power x^l of GF(p^f), gives the relation (1+aC)(x^l z)
+    # with codes
     #   x^l c_i                          at (gamma, S_i)
     #   a_delta frob^{-1}(x^l c_i)       at (gamma/p + delta, S_i), if p | gamma
     # for each term a_delta t^delta of a (C drops z when p does not divide
     # gamma).  Codes are summed before their base-p digits are laid out, at
     # column (slice * nsub + i) * f + digit, since gamma/p + delta can be
-    # gamma itself.  z has a 1 at its smallest column, and x^l has the code
-    # p^l, so a row whose images all come after gamma has its smallest
-    # column at gamma, with digit 1 there.
+    # gamma itself.
     params = desc.params
     kctx = params.kctx
     fq = kctx.fq
-    p, f, r = params.p, params.f, params.r
-    z_level = desc.z_level
+    p, f = params.p, params.f
+    subs = subsets_of(params.r, deg)
+    nsub = len(subs)
+    slice_pos = {g: i for i, g in enumerate(slices)}
+    space = RowSpace(params.fp)
+    if nsub == 0:
+        return space, subs, nsub, slice_pos
     shifts = sorted(params.a.terms.items())
     powers = [p ** l for l in range(f)]
-
-    def rows_at(gamma):
-        basis = subspace_basis(kctx, gamma, deg, Z_KIND, z_level)
+    for gamma in slices:
+        basis = subspace_basis(kctx, gamma, deg, Z_KIND, desc.z_level)
         if not basis:
-            return []
+            continue
         base = slice_pos[gamma] * nsub
         targets = []
         if any(x % p for x in gamma):
-            if deg < r:
-                _check_closed(fq, basis, koszul_slice(kctx, gamma, deg + 1)[0])
+            _check_closed(kctx, gamma, deg, basis)
         else:
             for delta, a_code in shifts:
                 pos = slice_pos.get(tuple(x // p + dx for x, dx in zip(gamma, delta)))
                 if pos is None:
                     raise AssertionError("relation image escaped the closed window")
                 targets.append((pos * nsub, a_code))
-        out = []
         for row in basis:
             for xl in powers:
                 acc = {}
@@ -510,35 +516,17 @@ def _ac_row_builder(desc, deg, slice_pos, nsub):
                         for tbase, a_code in targets:
                             k = tbase + i
                             acc[k] = fq.add(acc.get(k, 0), fq.mul(a_code, root))
-                out.append(_digit_vec(acc, p, f))
-        return out
-
-    return rows_at
-
-
-def _ac_relation_space(desc, deg, slices):
-    """Row space of (1+aC) applied to the tower slices, over GF(p).
-
-    Also returns the deg-subsets, their count and each slice's column block.
-    """
-    params = desc.params
-    subs = subsets_of(params.r, deg)
-    nsub = len(subs)
-    slice_pos = {g: i for i, g in enumerate(slices)}
-    space = RowSpace(params.fp)
-    if nsub == 0:
-        return space, subs, nsub, slice_pos
-    rows_at = _ac_row_builder(desc, deg, slice_pos, nsub)
-    for gamma in slices:
-        for row in rows_at(gamma):
-            space.add(row)
+                space.add(_digit_vec(acc, p, f))
     return space, subs, nsub, slice_pos
 
 
-def _check_closed(fq, rows, d_cols):
-    """Raise NotClosed unless d kills every slice vector in rows, given d's
-    Koszul columns there; the Cartier operator is defined only on closed
-    forms."""
+def _check_closed(kctx, beta, deg, rows):
+    """Raise NotClosed unless d kills every row of the degree-deg slice at
+    beta; the Cartier operator is defined only on closed forms."""
+    if deg >= kctx.r:
+        return  # d of an r-form is 0
+    d_cols = koszul_slice(kctx, beta, deg + 1)[0]
+    fq = kctx.fq
     for row in rows:
         out = {}
         for i, c in row.items():
@@ -611,17 +599,17 @@ def _ac_ball_correction(desc):
 
     In the expansion-dominant order of the ball (_ac_window) a slice gamma
     trails when p | gamma and some image gamma/p + delta sits at or before
-    gamma; every other slice's (1+aC) rows lead at that slice.  The leading
-    rows are in block echelon form: each has its smallest column at its own
-    slice, with digit 1, and a slice holds exactly f*dim Z_{z_level} of their
-    pivots, which is the class entry of _slice_fp_dim.  So only the trailing
-    rows are eliminated.  Each is reduced, column by ascending column,
-    against the leading rows, built only for the slices the reduction
-    reaches; the remainders span the rest of the row space, and their pivots
-    are the new ones.  A trailing slice holds no leading pivot.  The
-    correction at beta is f*dim Z(beta) if beta trails, less the new pivots
-    at beta.  Outside the ball every slice leads, since its images have a
-    smaller sup-norm, so the class entry is exact there.
+    gamma.  Every other slice's (1+aC) rows lead at that slice: a Z-row has
+    a 1 at its smallest column and x^l has the code p^l, so each row has its
+    smallest column at gamma, with digit 1, and the slice holds
+    f*dim Z_{z_level} pivots, which is the class entry of _slice_fp_dim.
+    The rows of the closure of the trailing slices under the contraction
+    (_ac_closure) touch only its columns, and every slice outside it leads
+    with pivots outside it.  So the pivots of the whole row space on the
+    closure are those of the closure's own row space (_ac_relation_space),
+    and the correction at beta in the closure is f*dim Z(beta) less its
+    pivots at beta.  Outside the ball every slice leads, since its images
+    have a smaller sup-norm, so the class entry is exact there.
     """
     params = desc.params
     p = params.p
@@ -632,51 +620,17 @@ def _ac_ball_correction(desc):
         if not any(x % p for x in gamma)
         and min(slice_pos[tuple(x // p + dx for x, dx in zip(gamma, delta))]
                 for delta in params.a.terms) <= pos]
+    reach = _ac_closure(params, trailing, desc.window_cap)
     correction = Counter()
     for deg in (params.q - 1, params.q - 2):
-        nsub = len(subsets_of(params.r, deg))
-        if not (nsub and trailing):
+        space, _, nsub, _ = _ac_relation_space(desc, deg, reach)
+        if not nsub:
             continue
-        width = nsub * params.f
-        rows_at = _ac_row_builder(desc, deg, slice_pos, nsub)
-        leading = {}  # pivot column -> leading row
-        built = set(trailing)  # slices whose rows are not leading rows
-
-        def reduce_leading(vec):
-            vec = dict(vec)
-            heap = list(vec)
-            heapq.heapify(heap)
-            while heap:
-                col = heapq.heappop(heap)
-                c = vec.get(col)
-                if not c:
-                    continue
-                gamma = ball[col // width]
-                if gamma not in built:
-                    built.add(gamma)
-                    for row in rows_at(gamma):
-                        leading[min(row)] = row
-                row = leading.get(col)
-                if row is None:
-                    continue
-                for rc, rv in row.items():
-                    v = (vec.get(rc, 0) - c * rv) % p
-                    if v:
-                        if rc not in vec:
-                            heapq.heappush(heap, rc)
-                        vec[rc] = v
-                    else:
-                        vec.pop(rc, None)
-            return vec
-
-        space = RowSpace(params.fp)
-        for gamma in trailing:
-            rows = rows_at(gamma)
-            correction[gamma] += len(rows)
-            for row in rows:
-                space.add(reduce_leading(row))
+        for gamma in reach:
+            correction[gamma] += params.f * len(
+                subspace_basis(params.kctx, gamma, deg, Z_KIND, desc.z_level))
         for piv in space.pivots():
-            correction[ball[piv // width]] -= 1
+            correction[reach[piv // (nsub * params.f)]] -= 1
     return {beta: c for beta, c in correction.items() if c}
 
 
@@ -700,10 +654,10 @@ def graded_order(desc, radius=DEFAULT_TABLE_RADIUS):
     the rest of the box.  For 'theta' the class is beta mod p^{s+1}: B_s at
     beta reads beta mod p^s, and the theta rows read whether p^s divides
     beta and alpha = beta/p^s mod p.  For 'zmod' and 'ac' it is beta mod
-    p^{z_level}.  Case II then adds the correction from the (1+aC) rows
-    that trail their slice in the contraction ball (_ac_ball_correction).
-    So a table costs one elimination per class, plus one of the trailing
-    rows, however large radius is.
+    p^{z_level}.  Case II then adds the correction from the closure of the
+    slices whose (1+aC) rows trail in the contraction ball
+    (_ac_ball_correction).  So a table costs one elimination per class, plus
+    one of that closure, however large radius is.
     """
     params = desc.params
     box = _degree_box(params.r, radius)

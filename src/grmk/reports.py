@@ -6,7 +6,6 @@ all orderings are deterministic so equal inputs give byte-identical output.
 from __future__ import annotations
 
 from .forms import format_form
-from .graded import CASE_I, CASE_II, CASE_III
 
 HEADER = "format: grmk.v1"
 

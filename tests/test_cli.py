@@ -67,6 +67,18 @@ class TestGr:
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command,extra", [("gr", []), ("reduce", ["--w1", "t1^1*dlog[1]"]),
+                                               ("shift-check", [])])
+    def test_window_cap_below_one_is_a_usage_error(self, capsys, command, extra):
+        # m = 5, 6, 7 are Case I, II and III: the cap is checked on every branch
+        for m in ("5", "6", "7"):
+            for cap in ("0", "-1"):
+                code, out, err = run_cli(capsys, command, "--p", "2", "--r", "2", "--e", "2",
+                                         "--n", "2", "--q", "2", "--a", "t1^1", "--m", m,
+                                         "--window-cap", cap, *extra)
+                assert code == 2 and out == "", (m, cap)
+                assert err == f"error: the window cap must be at least 1, not {cap}\n"
+
 
 GOLDEN_GR_M4 = """\
 format: grmk.v1
@@ -205,6 +217,15 @@ class TestVerifyQ1:
                                "--fixture", str(fixtures_dir / "q2_gaussian.field"),
                                "--n", "2", "--N", "5")
         assert code == 2 and "c_n" in err and "6" in err
+
+    def test_non_integral_e0_is_a_usage_error(self, capsys, tmp_path):
+        # x^3 - 3 is Eisenstein at p = 3 with e = 3, which p - 1 = 2 does not divide
+        fixture = tmp_path / "q3_cbrt3.field"
+        fixture.write_text("p: 3\nf: 1\ncoeffs: -3 0 0 1\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "verify-q1", "--fixture", str(fixture), "--n", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "e_0 is not integral" in err
 
     def test_zeta9_n2_past_brute_force(self, capsys, fixtures_dir):
         # |H| = 3^17 at the default cutoff: only the filtered oracle gets here

@@ -322,19 +322,42 @@ def _reference_table(desc, radius):
     return params.p ** table[()] if params.r == 0 else table
 
 
-def _trailing_rows(desc):
-    """(1+aC) rows per form degree q-1, q-2 at the ball slices gamma with
-    p | gamma and an image gamma/p + delta at or before gamma."""
+def _trailing_slices(desc):
+    """The ball slices gamma with p | gamma and an image gamma/p + delta at
+    or before gamma."""
     params = desc.params
     p = params.p
     ball = _ac_window(params, (), desc.window_cap)
     pos = {g: i for i, g in enumerate(ball)}
-    trailing = [g for g in ball if not any(x % p for x in g)
-                and any(pos[tuple(x // p + dx for x, dx in zip(g, delta))] <= pos[g]
-                        for delta in params.a.terms)]
+    return [g for g in ball if not any(x % p for x in g)
+            and any(pos[tuple(x // p + dx for x, dx in zip(g, delta))] <= pos[g]
+                    for delta in params.a.terms)]
+
+
+def _trailing_rows(desc):
+    """(1+aC) rows per form degree q-1, q-2 at the trailing slices."""
+    params = desc.params
     return [params.f * sum(len(subspace_basis(params.kctx, g, deg, Z_KIND, desc.z_level))
-                           for g in trailing)
+                           for g in _trailing_slices(desc))
             for deg in (params.q - 1, params.q - 2)]
+
+
+def _trailing_closure(desc):
+    """The trailing slices and every slice they reach under the contraction."""
+    params = desc.params
+    p = params.p
+    reach = set(_trailing_slices(desc))
+    todo = list(reach)
+    while todo:
+        g = todo.pop()
+        if any(x % p for x in g):
+            continue
+        for delta in params.a.terms:
+            nxt = tuple(x // p + dx for x, dx in zip(g, delta))
+            if nxt not in reach:
+                reach.add(nxt)
+                todo.append(nxt)
+    return reach
 
 
 # (p, f, e, n) with p^(n-1)(p-1) | e: theta levels with s = 0, 1, 2 and zmod
@@ -390,7 +413,9 @@ class TestTablesByClass:
                             assert got == want, (P, m, radius)
                             where = "inside" if radius < R else "on" if radius == R else "past"
                             seen.add((desc.branch, desc.b_level, where, f, r))
-        assert all(size <= ball for size, ball in ball_sizes)
+        # the ball is closed under the contraction, and graded_order asks
+        # for no window but the ball
+        assert all(size == ball for size, ball in ball_sizes)
         assert ball_sizes
         branches = {(b, s) for b, s, *_ in seen}
         assert {("theta", 0), ("theta", 1), ("theta", 2), ("zmod", None),
@@ -429,23 +454,34 @@ class TestTablesByClass:
         with pytest.raises(NotClosed):
             graded_order(desc, 0)
 
-    def test_no_relation_space_on_ac_levels(self, monkeypatch):
-        # a Case II table eliminates the trailing rows alone, never the
-        # (1+aC) row space of a window
+    def test_relation_space_only_on_the_trailing_closure(self, monkeypatch):
+        # a Case II table eliminates (1+aC) rows only on the closure of the
+        # trailing slices, which is smaller than the ball once r >= 1
         descs = [descriptor(CDVFParams(p, f, r, e, n, q, a), m)
                  for p, f, r, e, n, q, a, m in [
                      (2, 1, 0, 2, 2, 1, "1", 4), (2, 1, 1, 2, 2, 1, "t1^1", 4),
                      (2, 1, 2, 4, 2, 2, "t1^1+t2^-1", 12), (3, 1, 2, 6, 2, 3, "t2^-2", 9),
-                     (2, 2, 2, 4, 2, 2, "g^1*t1^-1", 8), (5, 1, 1, 4, 1, 1, "1+t1^2", 5)]]
+                     (2, 2, 2, 4, 2, 2, "g^1*t1^-1", 8), (5, 1, 1, 4, 1, 1, "1+t1^2", 5),
+                     (2, 1, 3, 4, 3, 2, "t1^-2+t3^1", 12)]]
         assert all(desc.branch == "ac" for desc in descs)
         wants = [_reference_table(desc, 3) for desc in descs]
+        seen = []
 
-        def refuse(*args):
-            raise AssertionError("graded_order built a (1+aC) relation space")
+        def recording_space(desc, deg, slices):
+            seen.append(list(slices))
+            return _ac_relation_space(desc, deg, slices)
 
-        monkeypatch.setattr("grmk.graded._ac_relation_space", refuse)
+        monkeypatch.setattr("grmk.graded._ac_relation_space", recording_space)
         for desc, want in zip(descs, wants):
+            seen.clear()
             assert graded_order(desc, 3) == want, desc.params
+            ball = _ac_window(desc.params, (), desc.window_cap)
+            reach = _trailing_closure(desc)
+            assert seen, desc.params
+            for slices in seen:
+                # the closure in the ball's order
+                assert slices == [g for g in ball if g in reach], desc.params
+                assert desc.params.r == 0 or len(slices) < len(ball), desc.params
 
     @pytest.mark.parametrize("p,f,r,e,n,q,a,trailing", [
         (2, 1, 3, 4, 3, 2, "t1^-2+t3^1", {8: [46, 6], 12: [102, 34], 16: [102, 34]}),
@@ -583,9 +619,8 @@ class TestReduce:
         with pytest.raises(WindowOverflow):
             graded_order(desc)
         for cap in (0, -5):
-            with pytest.raises(WindowOverflow):
-                graded_order(descriptor(CDVFParams(2, 1, 0, 2, 2, 1, "1"), 4,
-                                        window_cap=cap))
+            with pytest.raises(ValueError, match="window cap must be at least 1"):
+                descriptor(CDVFParams(2, 1, 0, 2, 2, 1, "1"), 4, window_cap=cap)
 
     def test_zmod_matches_nf_mod(self):
         # a Z-quotient level reduces through the same slice path as theta;
