@@ -188,7 +188,7 @@ def build_parser():
 
 USAGE_ERRORS = (ValueError, ParseError, ExponentOverflow, OutOfRangeLevel,
                 MalformedSymbol, PreconditionViolated, oracle.NotEisenstein,
-                oracle.ParamsMismatch, FileNotFoundError)
+                oracle.ParamsMismatch, FileNotFoundError, IsADirectoryError)
 RUNTIME_ERRORS = (WindowOverflow,)
 
 

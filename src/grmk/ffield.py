@@ -3,9 +3,12 @@ restricted to Laurent-polynomial representatives.
 
 Scalars of GF(p^f) are encoded as integers in [0, p^f): the base-p digits of
 the code are the coordinates with respect to the power basis of a root of
-the modulus stored for (p, f) in DEFAULT_MODULI.  Multiplication runs
-through exp/log tables built from a primitive element, so Frobenius, its
-inverse, and inversion are O(1) lookups.
+the modulus stored for (p, f) in DEFAULT_MODULI.  Each context builds its
+tables once, with the same code for every (p, f): q x q tables of sums,
+differences and products and a length-q table of negatives, so add, sub,
+mul and neg are one lookup each.  The additive tables work digit-wise mod
+p; the product table comes from exp/log tables of a primitive element,
+through which Frobenius, its inverse and inversion are O(1) lookups too.
 
 Text grammar for k-elements (used by the CLI and test fixtures)::
 
@@ -120,70 +123,52 @@ class FqContext:
 
     def _build_tables(self):
         q = self.q
-        gen = None
-        for cand in range(2, q):
-            seen = bytearray(q)
-            x = 1
-            order = 0
-            while True:
-                if seen[x]:
-                    break
-                seen[x] = 1
-                x = self._poly_mul(x, cand)
-                order += 1
-            if order == q - 1:
-                gen = cand
+        # the generator is the first code whose powers run through all q - 1
+        # units; candidate 1 has order 1, which is q - 1 only in GF(2)
+        for gen in range(1, q):
+            exp = [1]
+            x = gen
+            while x != 1 and len(exp) < q:
+                exp.append(x)
+                x = self._poly_mul(x, gen)
+            if len(exp) == q - 1:
                 break
-        if gen is None:
-            if q == 2:
-                gen = 1
-            else:
-                raise ValueError("modulus is not irreducible (no primitive element found)")
+        else:
+            raise ValueError("modulus is not irreducible (no primitive element found)")
         self.gen = gen
-        exp = [0] * (q - 1)
         log = [0] * q
-        x = 1
-        for i in range(q - 1):
-            exp[i] = x
+        for i, x in enumerate(exp):
             log[x] = i
-            x = self._poly_mul(x, gen)
         self._exp = exp
         self._log = log
+        # a code is its low digit plus p times the code of the other digits,
+        # so the sum table over f digits is built from the one over f - 1
+        p = self.p
+        add = [[0]]
+        for _ in range(self.f):
+            add = [[(x + y) % p + p * s for s in row for y in range(p)]
+                   for row in add for x in range(p)]
+        self._add = add
+        self._neg = [row.index(0) for row in add]
+        self._sub = [[row[nb] for nb in self._neg] for row in add]
+        # row and column 0 are the products with 0
+        exp2 = exp + exp
+        self._mul = [[0] * q] + [[0] + [exp2[log[a] + lb] for lb in log[1:]]
+                                 for a in range(1, q)]
 
     # -- field operations on codes
 
     def add(self, a, b):
-        if self.f == 1:
-            return (a + b) % self.p
-        p = self.p
-        out = 0
-        mul = 1
-        for _ in range(self.f):
-            out += ((a + b) % p) * mul
-            a //= p
-            b //= p
-            mul *= p
-        return out
+        return self._add[a][b]
 
     def neg(self, a):
-        if self.f == 1:
-            return (-a) % self.p
-        p = self.p
-        out = 0
-        mul = 1
-        for _ in range(self.f):
-            out += ((-a) % p) * mul
-            a //= p
-            mul *= p
-        return out
+        return self._neg[a]
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        return self._sub[a][b]
 
     def mul(self, a, b):
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        return self._mul[a][b]
 
     def inv(self, a):
         if a == 0:

@@ -37,7 +37,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from collections import Counter
 
 from .ffield import FqContext, KContext, LaurentPoly, parse_element
 from .forms import (B_KIND, Z_KIND, DiffForm, NotClosed, cartier, d,
@@ -334,8 +333,8 @@ def _theta_relation_space(desc, beta, subs1, subs2):
 
     Both slots hold the tower rows at beta: B_{b_level} for 'theta', and
     Z_{z_level} for 'zmod' and 'ac'.  For 'ac' this gives the class entry
-    of a slice whose (1+aC) rows lead at beta itself, which graded_order
-    corrects at the trailing slices (see _ac_ball_correction).
+    of a slice whose (1+aC) rows lead at beta itself; graded_order replaces
+    it on the closure of the trailing slices (see _ac_closure_entries).
     """
     # For 'theta', when beta = p^s alpha, add one row theta(t^alpha dlog S)
     # per S in subs2:
@@ -593,9 +592,9 @@ def _slice_fp_dim(desc, beta):
     return params.f * (len(subs1) + len(subs2) - space.rank())
 
 
-def _ac_ball_correction(desc):
-    """Case II entries less their class entries, summed over both form
-    degrees, at the slices of the contraction ball where they differ.
+def _ac_closure_entries(desc):
+    """Exact Case II entries, summed over both form degrees, on the closure
+    of the slices whose (1+aC) rows trail in the contraction ball.
 
     In the expansion-dominant order of the ball (_ac_window) a slice gamma
     trails when p | gamma and some image gamma/p + delta sits at or before
@@ -607,12 +606,13 @@ def _ac_ball_correction(desc):
     (_ac_closure) touch only its columns, and every slice outside it leads
     with pivots outside it.  So the pivots of the whole row space on the
     closure are those of the closure's own row space (_ac_relation_space),
-    and the correction at beta in the closure is f*dim Z(beta) less its
-    pivots at beta.  Outside the ball every slice leads, since its images
-    have a smaller sup-norm, so the class entry is exact there.
+    and the entry at beta in the closure is f*C(r, deg) less its pivots at
+    beta, summed over deg = q-1, q-2.  Outside the ball every slice leads,
+    since its images have a smaller sup-norm, so the class entry is exact
+    there.
     """
     params = desc.params
-    p = params.p
+    p, f = params.p, params.f
     ball = _ac_window(params, (), desc.window_cap)
     slice_pos = {g: i for i, g in enumerate(ball)}
     trailing = [
@@ -621,17 +621,16 @@ def _ac_ball_correction(desc):
         and min(slice_pos[tuple(x // p + dx for x, dx in zip(gamma, delta))]
                 for delta in params.a.terms) <= pos]
     reach = _ac_closure(params, trailing, desc.window_cap)
-    correction = Counter()
+    entries = dict.fromkeys(reach, 0)
     for deg in (params.q - 1, params.q - 2):
         space, _, nsub, _ = _ac_relation_space(desc, deg, reach)
         if not nsub:
             continue
         for gamma in reach:
-            correction[gamma] += params.f * len(
-                subspace_basis(params.kctx, gamma, deg, Z_KIND, desc.z_level))
+            entries[gamma] += f * nsub
         for piv in space.pivots():
-            correction[reach[piv // (nsub * params.f)]] -= 1
-    return {beta: c for beta, c in correction.items() if c}
+            entries[reach[piv // (nsub * f)]] -= 1
+    return entries
 
 
 def _check_radius(radius):
@@ -654,9 +653,9 @@ def graded_order(desc, radius=DEFAULT_TABLE_RADIUS):
     the rest of the box.  For 'theta' the class is beta mod p^{s+1}: B_s at
     beta reads beta mod p^s, and the theta rows read whether p^s divides
     beta and alpha = beta/p^s mod p.  For 'zmod' and 'ac' it is beta mod
-    p^{z_level}.  Case II then adds the correction from the closure of the
-    slices whose (1+aC) rows trail in the contraction ball
-    (_ac_ball_correction).  So a table costs one elimination per class, plus
+    p^{z_level}.  Case II then assigns the exact entries on the closure of
+    the slices whose (1+aC) rows trail in the contraction ball
+    (_ac_closure_entries).  So a table costs one elimination per class, plus
     one of that closure, however large radius is.
     """
     params = desc.params
@@ -677,9 +676,9 @@ def graded_order(desc, radius=DEFAULT_TABLE_RADIUS):
                 dim = dims[key] = _slice_fp_dim(desc, beta)
             table[beta] = dim
         if desc.branch == "ac":
-            for beta, c in _ac_ball_correction(desc).items():
+            for beta, c in _ac_closure_entries(desc).items():
                 if beta in table:
-                    table[beta] += c
+                    table[beta] = c
     return params.p ** table[()] if params.r == 0 else table
 
 

@@ -97,6 +97,9 @@ def load_fixture(path):
                 continue
             key, _, value = line.partition(":")
             data[key.strip()] = value.strip()
+    for key in ("p", "coeffs"):
+        if key not in data:
+            raise ValueError(f"fixture {path} has no '{key}:' line")
     p = int(data["p"])
     f = int(data.get("f", "1"))
     coeffs = [int(x) for x in data["coeffs"].split()]

@@ -227,6 +227,21 @@ class TestVerifyQ1:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "e_0 is not integral" in err
 
+    @pytest.mark.parametrize("case", ["missing-p", "missing-coeffs", "directory"])
+    def test_malformed_fixture_is_a_usage_error(self, capsys, tmp_path, case):
+        # "p 2" has no colon, so the fixture has no p: line
+        texts = {"missing-p": "p 2\ncoeffs: 2 0 1\n", "missing-coeffs": "p: 2\nf: 1\n"}
+        fixture = tmp_path / "bad.field"
+        if case in texts:
+            fixture.write_text(texts[case], encoding="utf-8")
+        else:
+            fixture.mkdir()
+        code, out, err = run_cli(capsys, "verify-q1", "--fixture", str(fixture), "--n", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        if case in texts:
+            assert f"no '{case.split('-')[1]}:' line" in err
+
     def test_zeta9_n2_past_brute_force(self, capsys, fixtures_dir):
         # |H| = 3^17 at the default cutoff: only the filtered oracle gets here
         code, out, _ = run_cli(capsys, "verify-q1",

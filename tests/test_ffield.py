@@ -44,17 +44,23 @@ class TestFqContext:
         with pytest.raises(ValueError):
             FqContext(6)
 
-    @pytest.mark.parametrize("p,f", sorted(DEFAULT_MODULI))
+    @pytest.mark.parametrize("p,f", [(2, 1), (3, 1), (5, 1), (7, 1), *sorted(DEFAULT_MODULI)])
     def test_tables_match_the_stored_modulus(self, p, f):
-        # every product of codes, and the order of the generator, checked
-        # against polynomial arithmetic modulo the stored modulus done here
+        # every sum, negative, difference and product of codes, and the order
+        # of the generator, checked against digit-wise arithmetic mod p and
+        # polynomial arithmetic modulo the stored modulus done here
         fq = FqContext(p, f)
-        modulus = DEFAULT_MODULI[(p, f)]
+        modulus = DEFAULT_MODULI.get((p, f), [0, 1])
         assert fq.modulus == modulus and fq.q == p ** f
 
+        def digits(a):
+            return [a // p ** i % p for i in range(f)]
+
+        def encode(ds):
+            return sum(c % p * p ** i for i, c in enumerate(ds))
+
         def poly_mul(a, b):
-            da = [a // p ** i % p for i in range(f)]
-            db = [b // p ** i % p for i in range(f)]
+            da, db = digits(a), digits(b)
             prod = [0] * (2 * f - 1)
             for i in range(f):
                 for j in range(f):
@@ -62,16 +68,29 @@ class TestFqContext:
             for i in range(2 * f - 2, f - 1, -1):
                 for j in range(f + 1):
                     prod[i - f + j] -= prod[i] * modulus[j]
-            return sum(c % p * p ** i for i, c in enumerate(prod[:f]))
+            return encode(prod[:f])
 
         for a in fq.elements():
+            assert fq.neg(a) == encode([-x for x in digits(a)])
             for b in fq.elements():
+                assert fq.add(a, b) == encode([x + y for x, y in zip(digits(a), digits(b))])
+                assert fq.sub(a, b) == encode([x - y for x, y in zip(digits(a), digits(b))])
                 assert fq.mul(a, b) == poly_mul(a, b)
         # the generator has order q - 1, so the modulus is irreducible
         x, order = fq.gen, 1
         while x != 1:
             x, order = poly_mul(x, fq.gen), order + 1
         assert order == fq.q - 1
+
+    @pytest.mark.parametrize("p,f,modulus", [(2, 2, [1, 0, 1]), (3, 2, [2, 0, 1]),
+                                             (2, 4, [1, 0, 0, 0, 1])],
+                             ids=["2-2", "3-2", "2-4"])
+    def test_reducible_modulus_is_rejected(self, monkeypatch, p, f, modulus):
+        # x^2 + 1 = (x + 1)^2 over GF(2): the powers of x + 1 reach 0, which
+        # is not a unit, so no code generates the units
+        monkeypatch.setitem(DEFAULT_MODULI, (p, f), modulus)
+        with pytest.raises(ValueError, match="not irreducible"):
+            FqContext(p, f)
 
 
 class TestLaurentPoly:

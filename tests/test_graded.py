@@ -10,7 +10,7 @@ from grmk.forms import (B_KIND, Z_KIND, DiffForm, NotClosed, d, format_form,
 from grmk.graded import (CASE_I, CASE_II, CASE_III, OUT_OF_RANGE, PRIME,
                          CDVFParams, CoefficientNotIntegral, MalformedSymbol,
                          OutOfRangeLevel, PreconditionViolated, SymbolExpr,
-                         WindowOverflow, _ac_ball_correction,
+                         WindowOverflow, _ac_closure_entries,
                          _ac_relation_space, _ac_window, _degree_box,
                          _flatten_form, _shift_bound, _slice_fp_dim,
                          _theta_columns, _theta_pair, _theta_relation_space,
@@ -497,7 +497,7 @@ class TestTablesByClass:
 
     def test_r0_case_ii_orders(self):
         # at r = 0 the ball is [()], a fixed point of the contraction that
-        # trails: the order is the class entry plus the correction at ()
+        # trails: the order is the exact entry at ()
         seen = set()
         for p, f, e, n in _TABLE_FIELDS:
             for a in _table_as(p, f, 0):
@@ -507,7 +507,7 @@ class TestTablesByClass:
                         desc = descriptor(P, P.threshold(i))
                         assert _ac_window(P, (), desc.window_cap) == [()]
                         assert _trailing_rows(desc) == ([f, 0] if q == 1 else [0, f])
-                        assert set(_ac_ball_correction(desc)) <= {()}
+                        assert set(_ac_closure_entries(desc)) == {()}
                         order = graded_order(desc)
                         assert order == _reference_table(desc, 0), (P, i)
                         seen.add(order)
@@ -522,13 +522,15 @@ class TestTablesByClass:
         # a theta slice reads beta mod p^{s+1}, a zmod or ac slice beta mod
         # p^{z_level}: a stand-in slice that returns an integer code of its
         # own class must be called once per class of the whole box, the
-        # Case II ball included, and come back at every beta outside the
-        # support of the Case II correction; on the support the correction
-        # is added to it
+        # Case II ball included, and come back at every beta off the closure
+        # of the Case II trailing slices; on the closure the entry is the
+        # exact one
         desc = descriptor(CDVFParams(p, 1, 2, e, n, 2, "t1^1+t2^-1"), m)
         assert level == (desc.b_level + 1 if desc.branch == "theta" else desc.z_level)
-        correction = _ac_ball_correction(desc) if desc.branch == "ac" else {}
-        assert bool(correction) == (desc.branch == "ac")
+        closure = _ac_closure_entries(desc) if desc.branch == "ac" else {}
+        assert bool(closure) == (desc.branch == "ac")
+        want = _reference_table(desc, 4) if closure else {}
+        assert set(closure) == (_trailing_closure(desc) if closure else set())
         mod = p ** level
         calls = []
 
@@ -542,8 +544,9 @@ class TestTablesByClass:
         monkeypatch.setattr("grmk.graded._slice_fp_dim", class_of)
         table = graded_order(desc, 4)
         assert sorted(map(code, calls)) == sorted({code(beta) for beta in table})
-        assert all(table[beta] == code(beta) + correction.get(beta, 0) for beta in table)
-        assert set(correction) <= set(table)
+        assert all(table[beta] == (want[beta] if beta in closure else code(beta))
+                   for beta in table)
+        assert set(closure) <= set(table)
 
 
 class TestReduce:
