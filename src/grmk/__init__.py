@@ -18,7 +18,6 @@ from .graded import (CDVFParams, GradedCase, GrDescriptor, GrElement,
                      PreconditionViolated)
 from .oracle import (EisensteinPoly, FieldContext, UnitGroupTable,
                      build_field, filtered_unit_group, unit_group, compare,
-                     load_fixture, power_landing_ok, NotEisenstein, TooLarge,
-                     ParamsMismatch)
+                     load_fixture, NotEisenstein, TooLarge, ParamsMismatch)
 
 __version__ = "0.1.0"

@@ -272,7 +272,8 @@ class KContext:
         return f"KContext(p={self.p}, f={self.f}, r={self.r})"
 
 
-def _check_alpha(alpha):
+def check_alpha(alpha):
+    """Raise ExponentOverflow unless every exponent lies within EXP_LIMIT."""
     for a in alpha:
         if a > EXP_LIMIT or a < -EXP_LIMIT:
             raise ExponentOverflow(f"exponent {a} exceeds the configured bound")
@@ -291,7 +292,7 @@ class LaurentPoly:
         clean = {}
         for alpha, c in terms.items():
             if c:
-                _check_alpha(alpha)
+                check_alpha(alpha)
                 clean[alpha] = c
         self.ctx = ctx
         self.terms = clean

@@ -1,10 +1,10 @@
 """Differential q-forms over k = GF(p^f)(t_1, ..., t_r) in the dlog basis.
 
-A form is stored as a finite map from sorted q-element index subsets
-S = {i_1 < ... < i_q} of {1, ..., r} to Laurent-polynomial coefficients,
-representing  omega = sum_S f_S dlog t_{i_1} ^ ... ^ dlog t_{i_q}.
-The monomial pieces t^alpha dlog t_S form a basis and every operator here
-acts monomially on it:
+The monomials t^alpha dlog t_S, for S = {i_1 < ... < i_q} a sorted q-element
+subset of {1, ..., r} and alpha an exponent vector in Z^r, form a basis of
+the q-forms, where dlog t_S = dlog t_{i_1} ^ ... ^ dlog t_{i_q}.  A form is
+stored as one finite map from basis monomials (S, alpha) to nonzero GF(p^f)
+codes, and every operator here acts monomially on it:
 
     d(t^alpha dlog t_S)   = sum_i alpha_i t^alpha dlog t_i ^ dlog t_S
     C^{-1}(t^alpha dlog t_S) = t^{p alpha} dlog t_S  with coefficient c -> c^p
@@ -38,8 +38,9 @@ Text grammar (CLI and fixtures)::
     form  := fterm ('+' fterm)*
     fterm := element '*' 'dlog[' idxlist ']' | element      (degree 0)
 
-Printing uses canonical order (subsets lexicographic, then exponent vectors);
-parse o print is the identity on canonical forms.
+Printing uses canonical order (subsets lexicographic, then exponent vectors),
+which is the order of the keys (S, alpha); parse o print is the identity on
+canonical forms.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .ffield import ContextMismatch, LaurentPoly, ParseError, parse_element
+from .ffield import (ContextMismatch, ParseError, check_alpha, format_element,
+                     parse_element)
 from .linalg import RowSpace
 
 B_KIND = "B"
@@ -86,7 +88,13 @@ def _merge_sign(s1, s2):
 
 
 class DiffForm:
-    """Immutable degree-q differential form; terms map subsets to coefficients."""
+    """Immutable degree-q differential form.
+
+    terms maps each basis monomial (S, alpha), standing for
+    t^alpha dlog t_S, to its nonzero GF(p^f) code.  The constructor takes
+    the outside shape {S: LaurentPoly} and checks its subsets; the
+    operators build their results with `_of`.
+    """
 
     __slots__ = ("kctx", "q", "terms")
 
@@ -99,10 +107,18 @@ class DiffForm:
                 if any(not 1 <= i <= kctx.r for i in subset):
                     raise ValueError(f"subset {subset} out of range 1..{kctx.r}")
                 if poly:
-                    clean[subset] = poly
+                    for alpha, c in poly.terms.items():
+                        clean[subset, alpha] = c
         self.kctx = kctx
         self.q = q
         self.terms = clean
+
+    @staticmethod
+    def _of(kctx, q, terms):
+        """The form with monomial terms {(S, alpha): code}; zero codes are dropped."""
+        w = DiffForm(kctx, q)
+        w.terms = {key: c for key, c in terms.items() if c}
+        return w
 
     @staticmethod
     def zero(kctx, q):
@@ -141,53 +157,38 @@ class DiffForm:
             return self
         if self.q != other.q:
             raise ValueError(f"cannot add forms of degrees {self.q} and {other.q}")
+        add = self.kctx.fq.add
         out = dict(self.terms)
-        for subset, poly in other.terms.items():
-            s = out.get(subset)
-            s = poly if s is None else s + poly
-            if s:
-                out[subset] = s
-            else:
-                out.pop(subset, None)
-        return DiffForm(self.kctx, self.q, out)
+        for key, c in other.terms.items():
+            out[key] = add(out.get(key, 0), c)
+        return DiffForm._of(self.kctx, self.q, out)
 
     def __neg__(self):
-        return DiffForm(self.kctx, self.q, {s: -p for s, p in self.terms.items()})
+        neg = self.kctx.fq.neg
+        return DiffForm._of(self.kctx, self.q,
+                            {key: neg(c) for key, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def times_poly(self, poly):
         """Left multiplication by a field element (a 0-form)."""
-        return DiffForm(self.kctx, self.q,
-                        {s: poly * p for s, p in self.terms.items()})
+        if poly.ctx != self.kctx:
+            raise ContextMismatch("operands live in different residue fields")
+        fq = self.kctx.fq
+        out = {}
+        for (subset, alpha), c in self.terms.items():
+            for beta, b in poly.terms.items():
+                gamma = tuple(x + y for x, y in zip(beta, alpha))
+                check_alpha(gamma)
+                key = subset, gamma
+                out[key] = fq.add(out.get(key, 0), fq.mul(b, c))
+        return DiffForm._of(self.kctx, self.q, out)
 
     def scale(self, code):
-        return DiffForm(self.kctx, self.q,
-                        {s: p.scale(code) for s, p in self.terms.items()})
-
-    def components(self):
-        """Split by exponent vector: alpha -> {subset: coefficient code}."""
-        out = {}
-        for subset, poly in self.terms.items():
-            for alpha, c in poly.terms.items():
-                out.setdefault(alpha, {})[subset] = c
-        return out
-
-    @staticmethod
-    def from_components(kctx, q, comps):
-        terms = {}
-        for alpha, sl in comps.items():
-            for subset, c in sl.items():
-                if not c:
-                    continue
-                poly = terms.get(subset)
-                mono = kctx.monomial(alpha, c)
-                terms[subset] = mono if poly is None else poly + mono
-        return DiffForm(kctx, q, terms)
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
+        mul = self.kctx.fq.mul
+        return DiffForm._of(self.kctx, self.q,
+                            {key: mul(c, code) for key, c in self.terms.items()})
 
     def __repr__(self):
         return f"DiffForm(q={self.q}, {format_form(self)!r})"
@@ -203,52 +204,40 @@ def wedge(w1, w2):
     q = w1.q + w2.q
     if w1.is_zero() or w2.is_zero() or q > kctx.r:
         return DiffForm.zero(kctx, min(q, kctx.r + 1))
+    fq = kctx.fq
     out = {}
-    for s1, p1 in w1.terms.items():
-        for s2, p2 in w2.terms.items():
+    for (s1, a1), c1 in w1.terms.items():
+        for (s2, a2), c2 in w2.terms.items():
             sign, merged = _merge_sign(s1, s2)
             if sign == 0:
                 continue
-            piece = p1 * p2
-            if sign < 0:
-                piece = -piece
-            acc = out.get(merged)
-            acc = piece if acc is None else acc + piece
-            if acc:
-                out[merged] = acc
-            else:
-                out.pop(merged, None)
-    return DiffForm(kctx, q, out)
+            alpha = tuple(x + y for x, y in zip(a1, a2))
+            check_alpha(alpha)
+            key = merged, alpha
+            acc = fq.add if sign > 0 else fq.sub
+            out[key] = acc(out.get(key, 0), fq.mul(c1, c2))
+    return DiffForm._of(kctx, q, out)
 
 
 def d(w):
     """Exterior derivative, extended additively from the monomial rule."""
     kctx = w.kctx
-    out = DiffForm.zero(kctx, w.q + 1)
     if w.q >= kctx.r or w.q < 0:
-        return out
+        return DiffForm.zero(kctx, w.q + 1)
     fq = kctx.fq
-    terms = {}
-    for subset, poly in w.terms.items():
-        for alpha, c in poly.terms.items():
-            for i in range(1, kctx.r + 1):
-                ai = alpha[i - 1] % kctx.p
-                if not ai:
-                    continue
-                sign, merged = _insert_sign(i, subset)
-                if sign == 0:
-                    continue
-                code = fq.mul(c, ai)
-                if sign < 0:
-                    code = fq.neg(code)
-                mono = kctx.monomial(alpha, code)
-                acc = terms.get(merged)
-                acc = mono if acc is None else acc + mono
-                if acc:
-                    terms[merged] = acc
-                else:
-                    terms.pop(merged, None)
-    return DiffForm(kctx, w.q + 1, terms)
+    out = {}
+    for (subset, alpha), c in w.terms.items():
+        for i, x in enumerate(alpha, 1):
+            ai = x % kctx.p
+            if not ai:
+                continue
+            sign, merged = _insert_sign(i, subset)
+            if sign == 0:
+                continue
+            key = merged, alpha
+            acc = fq.add if sign > 0 else fq.sub
+            out[key] = acc(out.get(key, 0), fq.mul(c, ai))
+    return DiffForm._of(kctx, w.q + 1, out)
 
 
 def is_closed(w):
@@ -258,14 +247,14 @@ def is_closed(w):
 def inv_cartier(w):
     """Inverse Cartier operator; the returned representative is closed."""
     kctx = w.kctx
-    fq = kctx.fq
+    frob = kctx.fq.frob
     p = kctx.p
-    terms = {}
-    for subset, poly in w.terms.items():
-        new = {tuple(p * x for x in alpha): fq.frob(c)
-               for alpha, c in poly.terms.items()}
-        terms[subset] = LaurentPoly(kctx, new)
-    return DiffForm(kctx, w.q, terms)
+    out = {}
+    for (subset, alpha), c in w.terms.items():
+        alpha = tuple(p * x for x in alpha)
+        check_alpha(alpha)
+        out[subset, alpha] = frob(c)
+    return DiffForm._of(kctx, w.q, out)
 
 
 def inv_cartier_iter(w, s):
@@ -284,18 +273,11 @@ def cartier(w):
     if not is_closed(w):
         raise NotClosed("the Cartier operator is only defined on closed forms")
     kctx = w.kctx
-    fq = kctx.fq
+    frob_inv = kctx.fq.frob_inv
     p = kctx.p
-    terms = {}
-    for subset, poly in w.terms.items():
-        new = {}
-        for alpha, c in poly.terms.items():
-            if any(x % p for x in alpha):
-                continue
-            new[tuple(x // p for x in alpha)] = fq.frob_inv(c)
-        if new:
-            terms[subset] = LaurentPoly(kctx, new)
-    return DiffForm(kctx, w.q, terms)
+    return DiffForm._of(kctx, w.q, {
+        (subset, tuple(x // p for x in alpha)): frob_inv(c)
+        for (subset, alpha), c in w.terms.items() if not any(x % p for x in alpha)})
 
 
 def in_Z(w, s):
@@ -418,14 +400,16 @@ def nf_mod(w, kind, s):
     kctx = w.kctx
     subsets = subsets_of(kctx.r, w.q)
     index = {sub: i for i, sub in enumerate(subsets)}
-    out_comps = {}
-    for alpha, sl in w.components().items():
+    slices = {}
+    for (subset, alpha), c in w.terms.items():
+        slices.setdefault(alpha, {})[index[subset]] = c
+    out = {}
+    for alpha, vec in slices.items():
         space = RowSpace.from_echelon(
             kctx.fq, subspace_basis(kctx, alpha, w.q, kind, s))
-        reduced = space.reduce({index[sub]: c for sub, c in sl.items()})
-        if reduced:
-            out_comps[alpha] = {subsets[i]: c for i, c in reduced.items()}
-    return DiffForm.from_components(kctx, w.q, out_comps)
+        for i, c in space.reduce(vec).items():
+            out[subsets[i], alpha] = c
+    return DiffForm._of(kctx, w.q, out)
 
 
 # ---------------------------------------------------------------------------
@@ -463,17 +447,14 @@ def parse_form(kctx, q, text):
 
 
 def format_form(w):
-    from .ffield import format_element
-
     if w.is_zero():
         return "0"
     parts = []
-    for subset, poly in w.sorted_terms():
-        for alpha, code in poly.sorted_terms():
-            elem = format_element(w.kctx.monomial(alpha, code))
-            if subset:
-                idx = ",".join(str(i) for i in subset)
-                parts.append(f"{elem}*dlog[{idx}]")
-            else:
-                parts.append(elem)
+    for (subset, alpha), code in sorted(w.terms.items()):
+        elem = format_element(w.kctx.monomial(alpha, code))
+        if subset:
+            idx = ",".join(str(i) for i in subset)
+            parts.append(f"{elem}*dlog[{idx}]")
+        else:
+            parts.append(elem)
     return "+".join(parts)

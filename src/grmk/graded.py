@@ -34,6 +34,7 @@ and constant on cosets.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import re
@@ -86,6 +87,15 @@ def vp(n, p):
     return s
 
 
+def _check_level(p, e, n):
+    """Raise ValueError unless p^(n-1)(p-1) divides e."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, not {n}")
+    if e % (p ** (n - 1) * (p - 1)) != 0:
+        raise ValueError(
+            f"p^(n-1)*(p-1) = {p ** (n - 1) * (p - 1)} must divide e = {e}")
+
+
 class CDVFParams:
     """Arithmetic context (p, f, r, e, n, q, a) for the graded quotients."""
 
@@ -95,9 +105,7 @@ class CDVFParams:
             raise ValueError("e, n, q must all be >= 1")
         if e % (p - 1) != 0:
             raise ValueError(f"(p-1) = {p - 1} must divide e = {e}: e_0 is not integral")
-        if e % (p ** (n - 1) * (p - 1)) != 0:
-            raise ValueError(
-                f"p^(n-1)*(p-1) = {p ** (n - 1) * (p - 1)} must divide e = {e}")
+        _check_level(p, e, n)
         if isinstance(a, str):
             a = parse_element(kctx, a)
         if not isinstance(a, LaurentPoly) or a.ctx != kctx:
@@ -124,7 +132,15 @@ class CDVFParams:
         return 0 if i == 0 else i * self.e + self.e0
 
     def with_level(self, n):
-        return CDVFParams(self.p, self.f, self.r, self.e, n, self.q, self.a)
+        """These parameters at modulus exponent n.
+
+        The residue field context (with its Koszul memo), fp and a are
+        shared with self: none of them depends on n.
+        """
+        _check_level(self.p, self.e, n)
+        low = copy.copy(self)
+        low.n = n
+        return low
 
     def __repr__(self):
         return (f"CDVFParams(p={self.p}, f={self.f}, r={self.r}, e={self.e}, "
@@ -320,14 +336,6 @@ def _theta_columns(subs1, subs2):
             {s: n1 + i for i, s in enumerate(subs2)})
 
 
-def _theta_vec(columns, sl1, sl2):
-    """Slice vector of the pair of slice terms (sl1, sl2)."""
-    col1, col2 = columns
-    vec = {col1[sub]: c for sub, c in sl1.items()}
-    vec.update((col2[sub], c) for sub, c in sl2.items())
-    return vec
-
-
 def _theta_relation_space(desc, beta, subs1, subs2):
     """Relations of the slice-diagonal quotient O^{q-1} (+) O^{q-2} at beta.
 
@@ -378,22 +386,20 @@ def _reduce_slices(desc, w1, w2):
     subs1 = subsets_of(kctx.r, params.q - 1)
     subs2 = subsets_of(kctx.r, params.q - 2)
     n1 = len(subs1)
-    columns = _theta_columns(subs1, subs2)
-    comps1 = w1.components()
-    comps2 = w2.components()
+    vecs = {}
+    for w, cols in zip((w1, w2), _theta_columns(subs1, subs2)):
+        for (sub, beta), c in w.terms.items():
+            vecs.setdefault(beta, {})[cols[sub]] = c
     out1, out2 = {}, {}
-    for beta in sorted(set(comps1) | set(comps2)):
+    for beta in sorted(vecs):
         space = _theta_relation_space(desc, beta, subs1, subs2)
-        red = space.reduce(_theta_vec(columns, comps1.get(beta, {}),
-                                      comps2.get(beta, {})))
-        s1 = {subs1[c]: v for c, v in red.items() if c < n1}
-        s2 = {subs2[c - n1]: v for c, v in red.items() if c >= n1}
-        if s1:
-            out1[beta] = s1
-        if s2:
-            out2[beta] = s2
-    return (DiffForm.from_components(kctx, params.q - 1, out1),
-            DiffForm.from_components(kctx, params.q - 2, out2))
+        for col, c in space.reduce(vecs[beta]).items():
+            if col < n1:
+                out1[subs1[col], beta] = c
+            else:
+                out2[subs2[col - n1], beta] = c
+    return (DiffForm._of(kctx, params.q - 1, out1),
+            DiffForm._of(kctx, params.q - 2, out2))
 
 
 # ---------------------------------------------------------------------------
@@ -443,24 +449,21 @@ def _ac_window(params, seed_slices, cap):
 
 
 def _flatten_form(params, w, subs, slice_pos, nsub):
-    acc = {slice_pos[alpha] * nsub + i: sl[sub]
-           for alpha, sl in w.components().items()
-           for i, sub in enumerate(subs) if sub in sl}
-    return _digit_vec(acc, params.p, params.f)
+    index = {sub: i for i, sub in enumerate(subs)}
+    return _digit_vec({slice_pos[alpha] * nsub + index[sub]: c
+                       for (sub, alpha), c in w.terms.items()}, params.p, params.f)
 
 
-def _unflatten(params, vec, subs, slices, nsub):
+def _unflatten(params, deg, vec, subs, slices, nsub):
     f = params.f
     p = params.p
-    comps = {}
+    terms = {}
     for col, digit in vec.items():
         rest, l = divmod(col, f)
         slice_idx, sub_idx = divmod(rest, nsub)
-        gamma = slices[slice_idx]
-        sub = subs[sub_idx]
-        sl = comps.setdefault(gamma, {})
-        sl[sub] = sl.get(sub, 0) + digit * p ** l
-    return comps
+        key = subs[sub_idx], slices[slice_idx]
+        terms[key] = terms.get(key, 0) + digit * p ** l
+    return DiffForm._of(params.kctx, deg, terms)
 
 
 def _ac_relation_space(desc, deg, slices):
@@ -554,11 +557,10 @@ def _reduce_ac_slot(desc, w, deg):
     params = desc.params
     if w.is_zero() or deg < 0 or deg > params.r:
         return w
-    slices = _ac_window(params, w.components().keys(), desc.window_cap)
+    slices = _ac_window(params, {alpha for _, alpha in w.terms}, desc.window_cap)
     space, subs, nsub, slice_pos = _ac_relation_space(desc, deg, slices)
     red = space.reduce(_flatten_form(params, w, subs, slice_pos, nsub))
-    return DiffForm.from_components(
-        params.kctx, deg, _unflatten(params, red, subs, slices, nsub))
+    return _unflatten(params, deg, red, subs, slices, nsub)
 
 
 # ---------------------------------------------------------------------------
@@ -716,12 +718,9 @@ class SymbolExpr:
 def _dlog_of_monomial(kctx, mono):
     """dlog(c t^alpha) = sum alpha_i dlog t_i; the coefficient contributes 0."""
     (alpha, _code), = mono.terms.items()
-    terms = {}
-    for i in range(1, kctx.r + 1):
-        ai = alpha[i - 1] % kctx.p
-        if ai:
-            terms[(i,)] = kctx.scalar(ai)
-    return DiffForm(kctx, 1, terms)
+    zero = (0,) * kctx.r
+    return DiffForm._of(kctx, 1, {((i,), zero): x % kctx.p
+                                  for i, x in enumerate(alpha, 1)})
 
 
 def symbol_to_forms(params, sym):

@@ -12,8 +12,7 @@ H_m = U^m/U^N, and P is its subgroup of p^n-th powers, the image of
 u -> u^{p^n} (an endomorphism of an abelian group, hence a subgroup).  P
 equals the intersection of (K^x)^{p^n} with the 1-units up to level N
 because a p^n-th power pi^{a p^n} zeta^{p^n} u^{p^n} is a 1-unit only when
-a = 0 and zeta = 1; the companion check `power_landing_ok` exercises that
-claim on non-1-units.  Orders of the graded quotients come from the counts
+a = 0 and zeta = 1.  Orders of the graded quotients come from the counts
 |P intersect H_m|, measured in two independent ways, each returning a
 `UnitGroupTable` that holds the counts and the orders they give:
 
@@ -217,26 +216,6 @@ class FieldContext:
                 best = min(best, self.e * v + i // self.f)
         return best
 
-    def residue(self, x):
-        code = 0
-        for c in reversed(x[:self.f]):
-            code = code * self.p + c % self.p
-        return code
-
-    def teichmuller(self, code):
-        """The root of unity of order dividing q - 1 with residue code.
-
-        Iterating x -> x^q from lift(code) gains one p-adic digit a step,
-        and the Teichmueller lift w satisfies w^q = w exactly in O_K/(pi^N),
-        so the first fixed point is w.
-        """
-        x = self.lift(code)
-        while True:
-            y = self.pow(x, self.fq.q)
-            if y == x:
-                return x
-            x = y
-
     def a_residue(self):
         """Residue class of p * pi^{-e} in GF(p^f); it lies in GF(p).
 
@@ -265,8 +244,7 @@ class UnitGroupTable:
 
     orders[m] (1 <= m < N) is |gr^m|, the ratio hp_index(m) / hp_index(m+1)
     of the indices [H_m : H_m intersect P], and total_u1_image = [H : P] is
-    their product.  gr0_pi and gr0_teich are the level-0 parts from the
-    prime element and the Teichmueller units.
+    their product.  gr0_pi is the level-0 part from the prime element.
     """
 
     def __init__(self, ctx, n, p_level_counts, p_size):
@@ -282,10 +260,10 @@ class UnitGroupTable:
             if num % den:
                 raise AssertionError("filtration indices do not telescope")
             self.orders[m] = num // den
-        # level 0 carries the prime element and Teichmueller contributions,
-        # which do not mix with the 1-unit filtration
+        # level 0 carries the prime element's contribution, which does not
+        # mix with the 1-unit filtration; the Teichmueller units add none,
+        # since p does not divide p^f - 1
         self.gr0_pi = ctx.p ** n
-        self.gr0_teich = math.gcd(ctx.p ** ctx.f - 1, ctx.p ** n)
         self.total_u1_image = self.hp_index(1)
 
     def h_size(self, m=1):
@@ -422,23 +400,6 @@ def unit_group(ctx, n, cap=DEFAULT_ENUM_CAP):
     for m in range(1, ctx.N + 1):
         counts[m] = sum(1 for v in levels if v >= m)
     return UnitGroupTable(ctx, n, counts, len(p_elems))
-
-
-def power_landing_ok(ctx, n):
-    """p^n-th powers of non-1-units never land among nontrivial 1-units.
-
-    Checked on the Teichmueller lifts of the residue codes 2..9 (those below
-    q) and on one element of valuation 1.
-    """
-    pn = ctx.p ** n
-    for code in range(2, min(ctx.fq.q, 10)):
-        zeta = ctx.teichmuller(code)
-        x = ctx.pow(zeta, pn)
-        if ctx.residue(x) == 1 and ctx.val(ctx.sub(x, ctx.one())) >= 1:
-            return False
-    pi_unit = ctx.mul(ctx.pi(), ctx.add(ctx.one(), ctx.pi()))
-    x = ctx.pow(pi_unit, pn)
-    return ctx.val(x) != 0
 
 
 # ---------------------------------------------------------------------------

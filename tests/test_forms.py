@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from grmk.ffield import KContext, LaurentPoly
+from grmk.ffield import EXP_LIMIT, ExponentOverflow, KContext, LaurentPoly
 from grmk.forms import (B_KIND, Z_KIND, DiffForm, NotClosed, cartier, d,
                         format_form, in_B, in_Z, inv_cartier, inv_cartier_iter,
                         is_closed, koszul_matrix, nf_mod, parse_form,
@@ -324,8 +324,23 @@ class TestGrammar:
 
 class TestExponentBound:
     def test_iterated_inverse_cartier_overflows_checked(self):
-        from grmk.ffield import ExponentOverflow
         k = ctx(p=2, r=1)
         w = DiffForm.from_poly(k.monomial((1,)))
         with pytest.raises(ExponentOverflow):
             inv_cartier_iter(w, 50)  # exponent would reach 2^50
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_wedge_and_times_poly_past_the_limit_raise(self, sign):
+        k = ctx(p=2, r=2)
+        edge = k.monomial((sign * EXP_LIMIT, 0))
+        step = k.monomial((sign, 0))
+        w = DiffForm(k, 1, {(1,): edge})
+        # at the limit itself nothing is raised
+        assert w.times_poly(k.one()) == w
+        assert wedge(DiffForm.from_poly(k.one()), w) == w
+        with pytest.raises(ExponentOverflow):
+            w.times_poly(step)
+        with pytest.raises(ExponentOverflow):
+            wedge(DiffForm.from_poly(step), w)
+        with pytest.raises(ExponentOverflow):
+            wedge(w, DiffForm(k, 1, {(2,): step}))

@@ -14,7 +14,7 @@ from grmk.graded import (CASE_I, CASE_II, CASE_III, OUT_OF_RANGE, PRIME,
                          _ac_relation_space, _ac_window, _degree_box,
                          _flatten_form, _shift_bound, _slice_fp_dim,
                          _theta_columns, _theta_pair, _theta_relation_space,
-                         _theta_vec, classify,
+                         classify,
                          descriptor, format_symbol, graded_order, is_zero,
                          level_shift_consistency, make_z_tower_element,
                          one_plus_ac, parse_symbol, reduce, symbol_to_forms,
@@ -45,6 +45,20 @@ class TestParams:
     def test_thresholds(self):
         P = params_q2i()
         assert [P.threshold(i) for i in range(3)] == [0, 4, 6]
+
+    def test_with_level_shares_the_residue_field(self):
+        P = CDVFParams(2, 2, 1, 4, 3, 2, "g^1*t1^1")
+        low = P.with_level(1)
+        assert low.kctx is P.kctx and low.fp is P.fp and low.a is P.a
+        assert (low.n, P.n) == (1, 3)
+        assert repr(low) == repr(CDVFParams(2, 2, 1, 4, 1, 2, "g^1*t1^1"))
+
+    def test_with_level_keeps_the_divisibility_check(self):
+        P = params_q2i()
+        # p^(n-1)(p-1) | e fails for p=2, e=2, n=3, and n = 0 is no level
+        for n in (3, 0):
+            with pytest.raises(ValueError):
+                P.with_level(n)
 
 
 class TestClassify:
@@ -148,8 +162,8 @@ def _ac_rows_by_forms(desc, deg, slices):
     vecs = []
     for gamma in slices:
         for row in subspace_basis(kctx, gamma, deg, Z_KIND, desc.z_level):
-            z = DiffForm.from_components(
-                kctx, deg, {gamma: {subs[i]: c for i, c in row.items()}})
+            z = DiffForm(kctx, deg, {subs[i]: kctx.monomial(gamma, c)
+                                     for i, c in row.items()})
             for l in range(params.f):
                 g = one_plus_ac(params, z.scale(params.p ** l))
                 vecs.append(_flatten_form(params, g, subs, slice_pos, len(subs)))
@@ -167,9 +181,10 @@ def _theta_rows_by_forms(desc, beta, subs1, subs2):
     vecs = []
     for sub in subs2:
         w = DiffForm.monomial(params.kctx, alpha, sub)
-        t1, t2 = _theta_pair(params, desc.b_level, desc.theta_coeff, w)
-        vec = _theta_vec(columns, t1.components().get(beta, {}),
-                         t2.components().get(beta, {}))
+        vec = {}
+        for t, cols in zip(_theta_pair(params, desc.b_level, desc.theta_coeff, w),
+                           columns):
+            vec.update((cols[u], c) for (u, g), c in t.terms.items() if g == beta)
         if vec:
             vecs.append(vec)
     return vecs
