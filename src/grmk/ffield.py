@@ -262,8 +262,8 @@ class KContext:
         return self.monomial(alpha)
 
     def __eq__(self, other):
-        return (isinstance(other, KContext)
-                and self.r == other.r and self.fq == other.fq)
+        return other is self or (isinstance(other, KContext)
+                                 and self.r == other.r and self.fq == other.fq)
 
     def __hash__(self):
         return hash((self.r, self.fq))

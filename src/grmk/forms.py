@@ -14,21 +14,22 @@ C (the Cartier operator) is only defined on closed forms; on those, the
 monomials with non-p-divisible degree span an exact summand (the Koszul
 complex of the degree covector is exact), so C drops them.
 
-The filtration towers are decided recursively through C:
+The filtration towers are defined recursively through C; `in_Z` and `in_B`
+decide membership this way, as the reference for `nf_mod`:
 
     in_Z(w, 0) always; in_Z(w, s) iff d(w) = 0 and in_Z(C(w), s-1)
     in_B(w, 0) iff w = 0; in_B(w, 1) iff d(w) = 0 and C(w) = 0;
     in_B(w, s) iff d(w) = 0 and in_B(C(w), s-1)      (s >= 2)
 
-d preserves the exponent vector alpha, so the towers split into
-degree-alpha slices.  `subspace_basis` realizes every tower statement per
-slice as sparse reduced-row-echelon rows over the q-subsets; those rows back
-the normal forms of `nf_mod` and the relation spaces of the graded module.
-
-On a slice with alpha not divisible by p the tower image is the image of the
-Koszul map (alpha ^ -), whose entries read alpha only through alpha mod p.
-Each KContext therefore memoizes the Koszul columns and their echelon rows
-on (alpha mod p, q): at most p^r * (r+1) entries, filled on first use.
+d preserves the exponent vector alpha, so everything splits into alpha-slices,
+which `slice_vectors` and `from_slice_vectors` lay out as vectors over the
+q-subsets.  On a slice d is the Koszul map (alpha ^ -), applied by
+`koszul_apply`; its entries read alpha only through alpha mod p, so each
+KContext memoizes its columns and echelon rows on (alpha mod p, q) (at most
+p^r * (r+1) entries).  With v = v_p(alpha), the slice of B_s and of Z_s is
+the Koszul image at alpha/p^v when v < s; otherwise Z_s is the whole slice
+and B_s is zero.  `subspace_basis` returns that closed rule as sparse
+reduced-row-echelon rows, which back `nf_mod` and the graded module.
 
 Degrees q < 0 and q > r denote the zero module; operations accept them and
 return zero.
@@ -68,15 +69,6 @@ def subsets_of(r, q):
     return tuple(itertools.combinations(range(1, r + 1), q))
 
 
-def _insert_sign(i, subset):
-    """Sign and result of dlog t_i ^ dlog t_S, or (0, None) when i in S."""
-    if i in subset:
-        return 0, None
-    below = sum(1 for j in subset if j < i)
-    merged = tuple(sorted(subset + (i,)))
-    return (-1) ** below, merged
-
-
 def _merge_sign(s1, s2):
     """Sign and union for dlog t_S1 ^ dlog t_S2 on disjoint subsets."""
     if set(s1) & set(s2):
@@ -102,10 +94,13 @@ class DiffForm:
         clean = {}
         if terms and 0 <= q <= kctx.r:
             for subset, poly in terms.items():
-                if len(subset) != q or list(subset) != sorted(subset):
-                    raise ValueError(f"subset {subset} is not a sorted {q}-subset")
+                if len(subset) != q or list(subset) != sorted(set(subset)):
+                    raise ValueError(
+                        f"subset {subset} is not a strictly increasing {q}-subset")
                 if any(not 1 <= i <= kctx.r for i in subset):
                     raise ValueError(f"subset {subset} out of range 1..{kctx.r}")
+                if poly.ctx != kctx:
+                    raise ContextMismatch("coefficient lives in a different residue field")
                 if poly:
                     for alpha, c in poly.terms.items():
                         clean[subset, alpha] = c
@@ -220,24 +215,13 @@ def wedge(w1, w2):
 
 
 def d(w):
-    """Exterior derivative, extended additively from the monomial rule."""
+    """Exterior derivative: the Koszul map (alpha ^ -) on each alpha-slice."""
     kctx = w.kctx
     if w.q >= kctx.r or w.q < 0:
         return DiffForm.zero(kctx, w.q + 1)
-    fq = kctx.fq
-    out = {}
-    for (subset, alpha), c in w.terms.items():
-        for i, x in enumerate(alpha, 1):
-            ai = x % kctx.p
-            if not ai:
-                continue
-            sign, merged = _insert_sign(i, subset)
-            if sign == 0:
-                continue
-            key = merged, alpha
-            acc = fq.add if sign > 0 else fq.sub
-            out[key] = acc(out.get(key, 0), fq.mul(c, ai))
-    return DiffForm._of(kctx, w.q + 1, out)
+    return from_slice_vectors(kctx, w.q + 1, {
+        alpha: koszul_apply(kctx, alpha, w.q + 1, vec)
+        for alpha, vec in slice_vectors(w).items()})
 
 
 def is_closed(w):
@@ -308,32 +292,39 @@ def in_B(w, s):
 # ---------------------------------------------------------------------------
 # per-degree-slice realization of the towers
 
+def slice_vectors(w):
+    """{alpha: {i: code}} for w, with i the position of S in subsets_of(r, q)."""
+    index = subsets_of(w.kctx.r, w.q).index
+    vecs = {}
+    for (subset, alpha), c in w.terms.items():
+        vecs.setdefault(alpha, {})[index(subset)] = c
+    return vecs
+
+
+def from_slice_vectors(kctx, q, vecs):
+    """The q-form with the slice vectors vecs; zero codes are dropped."""
+    subsets = subsets_of(kctx.r, q)
+    return DiffForm._of(kctx, q, {(subsets[i], alpha): c
+                                  for alpha, vec in vecs.items()
+                                  for i, c in vec.items()})
+
+
 def koszul_matrix(kctx, alpha, q):
     """Columns of (a ^ -): Lambda^{q-1} -> Lambda^q for a = sum alpha_i dlog t_i.
 
     Returns a list of sparse column dicts {row_index: code}, columns indexed
-    by the (q-1)-subsets, rows by the q-subsets.
+    by the (q-1)-subsets, rows by the q-subsets (S + {i}: one entry per i).
     """
     fq = kctx.fq
-    rows = subsets_of(kctx.r, q)
-    row_index = {s: i for i, s in enumerate(rows)}
+    row_index = {s: i for i, s in enumerate(subsets_of(kctx.r, q))}
     cols = []
     for subset in subsets_of(kctx.r, q - 1):
         col = {}
-        for i in range(1, kctx.r + 1):
-            ai = alpha[i - 1] % kctx.p
-            if not ai:
-                continue
-            sign, merged = _insert_sign(i, subset)
-            if sign == 0:
-                continue
-            code = fq.from_int(ai) if sign > 0 else fq.neg(fq.from_int(ai))
-            idx = row_index[merged]
-            s = fq.add(col.get(idx, 0), code)
-            if s:
-                col[idx] = s
-            else:
-                col.pop(idx, None)
+        for i, x in enumerate(alpha, 1):
+            if x % kctx.p:
+                sign, merged = _merge_sign((i,), subset)
+                if sign:
+                    col[row_index[merged]] = fq.from_int(sign * x)
         cols.append(col)
     return cols
 
@@ -345,7 +336,7 @@ def koszul_slice(kctx, alpha, q):
     context on (alpha mod p, q).  The returned lists and dicts are shared:
     callers must not modify them.
     """
-    key = (tuple(x % kctx.p for x in alpha), q)
+    key = (tuple([x % kctx.p for x in alpha]), q)
     hit = kctx.koszul_memo.get(key)
     if hit is None:
         cols = koszul_matrix(kctx, alpha, q)
@@ -357,6 +348,17 @@ def koszul_slice(kctx, alpha, q):
     return hit
 
 
+def koszul_apply(kctx, alpha, q, vec):
+    """d on the alpha-slice: the degree-q vector (alpha ^ vec), without zeros."""
+    cols = koszul_slice(kctx, alpha, q)[0]
+    fq = kctx.fq
+    out = {}
+    for i, c in vec.items():
+        for j, v in cols[i].items():
+            out[j] = fq.add(out.get(j, 0), fq.mul(c, v))
+    return {j: c for j, c in out.items() if c}
+
+
 def subspace_basis(kctx, alpha, q, kind, s):
     """Reduced-row-echelon basis of the alpha-slice of B_s^q or Z_s^q.
 
@@ -365,30 +367,26 @@ def subspace_basis(kctx, alpha, q, kind, s):
     (its smallest column) and 0 at every other row's pivot.  The rows are
     fresh dicts the caller may modify.
 
-    For alpha not divisible by p the slice's B_1 equals its Z_1 (Koszul
-    exactness), and all tower groups between them share that image.  That
-    image depends only on alpha mod p and is copied out of the context's
-    memo (`koszul_slice`, at most p^r * (r+1) entries).  For alpha = p*beta
-    the slice is the entrywise Frobenius of the slice at beta.
-    Frobenius is a field automorphism fixing 0 and 1, so it carries a reduced
-    echelon basis to a reduced echelon basis and no elimination is needed.
+    Closed rule, with v = v_p(alpha) (infinite at alpha = 0): if v < s, both
+    B_s and Z_s are the image of the Koszul map (alpha/p^v ^ -), whose rows
+    are copied out of the context's memo (`koszul_slice`); if v >= s, Z_s is
+    the whole slice and B_s is zero.  This is the recursion through C, which
+    carries the slice at p*beta to the one at beta: C^{-1} acts by Frobenius
+    on codes, and the Koszul rows lie in GF(p), which Frobenius fixes.
     """
     if kind not in (B_KIND, Z_KIND):
         raise ValueError(f"kind must be 'B' or 'Z', got {kind!r}")
     if s < 0:
         raise ValueError("s must be >= 0")
     n = len(subsets_of(kctx.r, q))
-    if n == 0 or (s == 0 and kind == B_KIND):
+    if n == 0:
         return []
-    if s == 0:
-        return [{i: 1} for i in range(n)]
     p = kctx.p
-    if any(x % p for x in alpha):
-        return [dict(row) for row in koszul_slice(kctx, alpha, q)[1]]
-    frob = kctx.fq.frob
-    beta = tuple(x // p for x in alpha)
-    return [{i: frob(c) for i, c in row.items()}
-            for row in subspace_basis(kctx, beta, q, kind, s - 1)]
+    for _ in range(s):
+        if any(x % p for x in alpha):
+            return [dict(row) for row in koszul_slice(kctx, alpha, q)[1]]
+        alpha = tuple(x // p for x in alpha)
+    return [{i: 1} for i in range(n)] if kind == Z_KIND else []
 
 
 def nf_mod(w, kind, s):
@@ -398,18 +396,10 @@ def nf_mod(w, kind, s):
     per alpha-slice against the echelon rows of `subspace_basis`.
     """
     kctx = w.kctx
-    subsets = subsets_of(kctx.r, w.q)
-    index = {sub: i for i, sub in enumerate(subsets)}
-    slices = {}
-    for (subset, alpha), c in w.terms.items():
-        slices.setdefault(alpha, {})[index[subset]] = c
-    out = {}
-    for alpha, vec in slices.items():
-        space = RowSpace.from_echelon(
-            kctx.fq, subspace_basis(kctx, alpha, w.q, kind, s))
-        for i, c in space.reduce(vec).items():
-            out[subsets[i], alpha] = c
-    return DiffForm._of(kctx, w.q, out)
+    return from_slice_vectors(kctx, w.q, {
+        alpha: RowSpace.from_echelon(
+            kctx.fq, subspace_basis(kctx, alpha, w.q, kind, s)).reduce(vec)
+        for alpha, vec in slice_vectors(w).items()})
 
 
 # ---------------------------------------------------------------------------

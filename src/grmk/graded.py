@@ -41,8 +41,9 @@ import re
 
 from .ffield import FqContext, KContext, LaurentPoly, parse_element
 from .forms import (B_KIND, Z_KIND, DiffForm, NotClosed, cartier, d,
-                    format_form, in_Z, inv_cartier_iter, koszul_slice,
-                    subsets_of, subspace_basis, wedge)
+                    format_form, from_slice_vectors, in_Z, inv_cartier_iter,
+                    koszul_apply, koszul_slice, slice_vectors, subsets_of,
+                    subspace_basis, wedge)
 from .linalg import RowSpace
 
 CASE_I = "I"
@@ -329,32 +330,25 @@ def descriptor(params, m, window_cap=DEFAULT_WINDOW_CAP):
 # ---------------------------------------------------------------------------
 # the slice-diagonal quotient: Case I, and the class entries of Case II
 
-def _theta_columns(subs1, subs2):
-    """Column of each subset in a slice vector: subs1 first, then subs2."""
-    n1 = len(subs1)
-    return ({s: i for i, s in enumerate(subs1)},
-            {s: n1 + i for i, s in enumerate(subs2)})
-
-
-def _theta_relation_space(desc, beta, subs1, subs2):
+def _theta_relation_space(desc, beta):
     """Relations of the slice-diagonal quotient O^{q-1} (+) O^{q-2} at beta.
 
+    A slice vector holds the (q-1)-subsets first, then the (q-2)-subsets.
     Both slots hold the tower rows at beta: B_{b_level} for 'theta', and
     Z_{z_level} for 'zmod' and 'ac'.  For 'ac' this gives the class entry
     of a slice whose (1+aC) rows lead at beta itself; graded_order replaces
     it on the closure of the trailing slices (see _ac_closure_entries).
     """
-    # For 'theta', when beta = p^s alpha, add one row theta(t^alpha dlog S)
-    # per S in subs2:
+    # For 'theta', when beta = p^s alpha, B_s at beta is zero; add one row
+    # theta(t^alpha dlog S) per (q-2)-subset S:
     #   first slot   C^{-s} d(t^alpha dlog S) = sum_T frob^s(K[T, S]) t^beta dlog T
     #   second slot  C^{-s}(lam t^alpha dlog S) = lam frob^s(1) t^beta dlog S
-    # with K the Koszul columns at (alpha, q-1), whose rows are subs1 and whose
-    # columns are subs2.  K's entries, lam and 1 lie in GF(p), which frob
-    # fixes, so the row is K's column of S with lam appended.
+    # with K the Koszul columns at (alpha, q-1).  K's entries, lam and 1 lie in
+    # GF(p), which frob fixes, so the row is K's column of S with lam appended.
     params = desc.params
     kctx = params.kctx
     q = params.q
-    col2 = _theta_columns(subs1, subs2)[1]
+    n1 = len(subsets_of(kctx.r, q - 1))
     if desc.branch == "theta":
         kind, level = B_KIND, desc.b_level
     else:
@@ -365,41 +359,35 @@ def _theta_relation_space(desc, beta, subs1, subs2):
         for deg, rows in ((q - 1, rows1), (q - 2, rows2)):
             _check_closed(kctx, beta, deg, rows)
     space = RowSpace.from_echelon(
-        kctx.fq, rows1 + [{col2[subs2[i]]: c for i, c in row.items()} for row in rows2])
+        kctx.fq, rows1 + [{n1 + i: c for i, c in row.items()} for row in rows2])
     ps = params.p ** level
     if desc.branch != "theta" or any(x % ps for x in beta):
         return space
     alpha = tuple(x // ps for x in beta)
     lam = desc.theta_coeff
-    for sub, col in zip(subs2, koszul_slice(kctx, alpha, q - 1)[0]):
+    for i, col in enumerate(koszul_slice(kctx, alpha, q - 1)[0]):
         vec = dict(col)
         if lam:
-            vec[col2[sub]] = lam
+            vec[n1 + i] = lam
         if vec:
             space.add(vec)
     return space
 
 
 def _reduce_slices(desc, w1, w2):
-    params = desc.params
-    kctx = params.kctx
-    subs1 = subsets_of(kctx.r, params.q - 1)
-    subs2 = subsets_of(kctx.r, params.q - 2)
-    n1 = len(subs1)
-    vecs = {}
-    for w, cols in zip((w1, w2), _theta_columns(subs1, subs2)):
-        for (sub, beta), c in w.terms.items():
-            vecs.setdefault(beta, {})[cols[sub]] = c
+    n1 = len(subsets_of(desc.params.r, w1.q))
+    vecs = slice_vectors(w1)
+    for beta, vec in slice_vectors(w2).items():
+        vecs.setdefault(beta, {}).update((n1 + i, c) for i, c in vec.items())
     out1, out2 = {}, {}
-    for beta in sorted(vecs):
-        space = _theta_relation_space(desc, beta, subs1, subs2)
-        for col, c in space.reduce(vecs[beta]).items():
-            if col < n1:
-                out1[subs1[col], beta] = c
+    for beta, vec in vecs.items():
+        for i, c in _theta_relation_space(desc, beta).reduce(vec).items():
+            if i < n1:
+                out1.setdefault(beta, {})[i] = c
             else:
-                out2[subs2[col - n1], beta] = c
-    return (DiffForm._of(kctx, params.q - 1, out1),
-            DiffForm._of(kctx, params.q - 2, out2))
+                out2.setdefault(beta, {})[i - n1] = c
+    return (from_slice_vectors(w1.kctx, w1.q, out1),
+            from_slice_vectors(w2.kctx, w2.q, out2))
 
 
 # ---------------------------------------------------------------------------
@@ -448,29 +436,29 @@ def _ac_window(params, seed_slices, cap):
     return _ac_closure(params, itertools.chain(seed_slices, ball), cap)
 
 
-def _flatten_form(params, w, subs, slice_pos, nsub):
-    index = {sub: i for i, sub in enumerate(subs)}
-    return _digit_vec({slice_pos[alpha] * nsub + index[sub]: c
-                       for (sub, alpha), c in w.terms.items()}, params.p, params.f)
+def _flatten_form(params, w, slice_pos):
+    nsub = len(subsets_of(params.r, w.q))
+    return _digit_vec({slice_pos[alpha] * nsub + i: c
+                       for alpha, vec in slice_vectors(w).items()
+                       for i, c in vec.items()}, params.p, params.f)
 
 
-def _unflatten(params, deg, vec, subs, slices, nsub):
-    f = params.f
-    p = params.p
-    terms = {}
+def _unflatten(params, deg, vec, slices):
+    nsub = len(subsets_of(params.r, deg))
+    vecs = {}
     for col, digit in vec.items():
-        rest, l = divmod(col, f)
-        slice_idx, sub_idx = divmod(rest, nsub)
-        key = subs[sub_idx], slices[slice_idx]
-        terms[key] = terms.get(key, 0) + digit * p ** l
-    return DiffForm._of(params.kctx, deg, terms)
+        rest, l = divmod(col, params.f)
+        slice_idx, i = divmod(rest, nsub)
+        codes = vecs.setdefault(slices[slice_idx], {})
+        codes[i] = codes.get(i, 0) + digit * params.p ** l
+    return from_slice_vectors(params.kctx, deg, vecs)
 
 
 def _ac_relation_space(desc, deg, slices):
     """Row space of (1+aC) applied to the tower slices, over GF(p).
 
-    slices must be closed under the contraction.  Also returns the
-    deg-subsets, their count and each slice's column block.
+    slices must be closed under the contraction.  Also returns the number
+    of deg-subsets and each slice's position, as _flatten_form lays them out.
     """
     # A row z = sum_i c_i t^gamma dlog S_i of the Z_{z_level}-slice at gamma,
     # times a basis power x^l of GF(p^f), gives the relation (1+aC)(x^l z)
@@ -485,12 +473,11 @@ def _ac_relation_space(desc, deg, slices):
     kctx = params.kctx
     fq = kctx.fq
     p, f = params.p, params.f
-    subs = subsets_of(params.r, deg)
-    nsub = len(subs)
+    nsub = len(subsets_of(params.r, deg))
     slice_pos = {g: i for i, g in enumerate(slices)}
     space = RowSpace(params.fp)
     if nsub == 0:
-        return space, subs, nsub, slice_pos
+        return space, nsub, slice_pos
     shifts = sorted(params.a.terms.items())
     powers = [p ** l for l in range(f)]
     for gamma in slices:
@@ -519,23 +506,16 @@ def _ac_relation_space(desc, deg, slices):
                             k = tbase + i
                             acc[k] = fq.add(acc.get(k, 0), fq.mul(a_code, root))
                 space.add(_digit_vec(acc, p, f))
-    return space, subs, nsub, slice_pos
+    return space, nsub, slice_pos
 
 
 def _check_closed(kctx, beta, deg, rows):
     """Raise NotClosed unless d kills every row of the degree-deg slice at
-    beta; the Cartier operator is defined only on closed forms."""
-    if deg >= kctx.r:
-        return  # d of an r-form is 0
-    d_cols = koszul_slice(kctx, beta, deg + 1)[0]
-    fq = kctx.fq
-    for row in rows:
-        out = {}
-        for i, c in row.items():
-            for j, v in d_cols[i].items():
-                out[j] = fq.add(out.get(j, 0), fq.mul(c, v))
-        if any(out.values()):
-            raise NotClosed("the Cartier operator is only defined on closed forms")
+    beta (d of an r-form is 0); C is defined only on closed forms."""
+    if deg < kctx.r:
+        for row in rows:
+            if koszul_apply(kctx, beta, deg + 1, row):
+                raise NotClosed("the Cartier operator is only defined on closed forms")
 
 
 def _digit_vec(acc, p, f):
@@ -558,9 +538,9 @@ def _reduce_ac_slot(desc, w, deg):
     if w.is_zero() or deg < 0 or deg > params.r:
         return w
     slices = _ac_window(params, {alpha for _, alpha in w.terms}, desc.window_cap)
-    space, subs, nsub, slice_pos = _ac_relation_space(desc, deg, slices)
-    red = space.reduce(_flatten_form(params, w, subs, slice_pos, nsub))
-    return _unflatten(params, deg, red, subs, slices, nsub)
+    space, _, slice_pos = _ac_relation_space(desc, deg, slices)
+    return _unflatten(params, deg, space.reduce(_flatten_form(params, w, slice_pos)),
+                      slices)
 
 
 # ---------------------------------------------------------------------------
@@ -588,10 +568,8 @@ def is_zero(el):
 def _slice_fp_dim(desc, beta):
     """GF(p)-dimension of the slice-diagonal quotient pair at degree beta."""
     params = desc.params
-    subs1 = subsets_of(params.r, params.q - 1)
-    subs2 = subsets_of(params.r, params.q - 2)
-    space = _theta_relation_space(desc, beta, subs1, subs2)
-    return params.f * (len(subs1) + len(subs2) - space.rank())
+    n = len(subsets_of(params.r, params.q - 1)) + len(subsets_of(params.r, params.q - 2))
+    return params.f * (n - _theta_relation_space(desc, beta).rank())
 
 
 def _ac_closure_entries(desc):
@@ -625,7 +603,7 @@ def _ac_closure_entries(desc):
     reach = _ac_closure(params, trailing, desc.window_cap)
     entries = dict.fromkeys(reach, 0)
     for deg in (params.q - 1, params.q - 2):
-        space, _, nsub, _ = _ac_relation_space(desc, deg, reach)
+        space, nsub, _ = _ac_relation_space(desc, deg, reach)
         if not nsub:
             continue
         for gamma in reach:

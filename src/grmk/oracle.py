@@ -415,10 +415,9 @@ class CompareReport:
         return all(match for _, _, _, match in self.rows)
 
 
-def compare(ctx, params, table=None):
-    """Per-level comparison of the oracle's orders against the presentations.
-
-    The oracle table defaults to `filtered_unit_group(ctx, params.n)`.
+def compare(ctx, params, table):
+    """Per-level comparison of the oracle table's orders (from `unit_group`
+    or `filtered_unit_group` of ctx at params.n) against the presentations.
     """
     from . import graded
 
@@ -432,8 +431,6 @@ def compare(ctx, params, table=None):
     if params.a.constant_code() != a_ctx or len(params.a.terms) != 1:
         raise ParamsMismatch(
             f"a mismatch: params carry {params.a}, the field gives {a_ctx}")
-    if table is None:
-        table = filtered_unit_group(ctx, params.n)
     rows = []
     for m in range(1, ctx.N):
         desc = graded.descriptor(params, m)

@@ -42,3 +42,24 @@ def power_landing_ok(ctx, n):
             return False
     pi_unit = ctx.mul(ctx.pi(), ctx.add(ctx.one(), ctx.pi()))
     return ctx.val(ctx.pow(pi_unit, pn)) != 0
+
+
+def d_terms(w):
+    """The monomial terms {(S, alpha): code} of d(w), from the rule
+    d(t^alpha dlog t_S) = sum_i alpha_i t^alpha dlog t_i ^ dlog t_S.
+
+    dlog t_i ^ dlog t_S is zero when i is in S; otherwise sorting i into S
+    moves dlog t_i past each index of S below i, one sign change each.
+    """
+    fq = w.kctx.fq
+    out = {}
+    for (subset, alpha), c in w.terms.items():
+        for i, x in enumerate(alpha, 1):
+            if x % w.kctx.p == 0 or i in subset:
+                continue
+            term = fq.mul(c, x % w.kctx.p)
+            if sum(1 for j in subset if j < i) % 2:
+                term = fq.neg(term)
+            key = tuple(sorted(subset + (i,))), alpha
+            out[key] = fq.add(out.get(key, 0), term)
+    return {key: c for key, c in out.items() if c}

@@ -2,13 +2,18 @@ import random
 
 import pytest
 
-from grmk.ffield import EXP_LIMIT, ExponentOverflow, KContext, LaurentPoly
+from grmk.ffield import (EXP_LIMIT, ContextMismatch, ExponentOverflow,
+                         KContext, LaurentPoly)
 from grmk.forms import (B_KIND, Z_KIND, DiffForm, NotClosed, cartier, d,
                         format_form, in_B, in_Z, inv_cartier, inv_cartier_iter,
                         is_closed, koszul_matrix, nf_mod, parse_form,
                         subsets_of, subspace_basis, wedge)
 from grmk.linalg import rank_of
 from grmk.selftest import rand_form
+from reference import d_terms
+
+
+FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]
 
 
 def ctx(p=2, f=1, r=3):
@@ -17,6 +22,20 @@ def ctx(p=2, f=1, r=3):
 
 def dlog(k, *indices):
     return DiffForm(k, len(indices), {tuple(sorted(indices)): k.one()})
+
+
+class TestConstructor:
+    def test_repeated_index_is_rejected(self):
+        k = ctx(r=3)
+        # dlog t1 ^ dlog t1 = 0 is no basis element
+        with pytest.raises(ValueError, match="strictly increasing"):
+            DiffForm(k, 2, {(1, 1): k.var(2)})
+
+    def test_coefficient_from_another_field_is_rejected(self):
+        k = ctx(p=2, f=1, r=2)
+        other = ctx(p=2, f=2, r=2).monomial((1, 0), 3)
+        with pytest.raises(ContextMismatch):
+            DiffForm(k, 1, {(1,): other})
 
 
 class TestWedge:
@@ -48,6 +67,27 @@ class TestD:
             k = ctx(p=rng.choice([2, 3]), r=rng.randint(0, 3))
             w = rand_form(rng, k, rng.randint(0, 3))
             assert d(d(w)).is_zero()
+
+    def test_matches_the_monomial_reference(self):
+        # the selftest fields, r = 0..4 and q = -1..r+1, against a monomial
+        # loop that counts its own signs
+        rng = random.Random(24)
+        seen = set()
+        nonzero = 0
+        for _ in range(2500):
+            p, f = rng.choice(FIELDS)
+            k = ctx(p, f, rng.randint(0, 4))
+            q = rng.randint(-1, k.r + 1)
+            w = rand_form(rng, k, q)
+            dw = d(w)
+            assert dw.q == q + 1 and dw.terms == d_terms(w), format_form(w)
+            seen.add((p, f, k.r, q))
+            nonzero += bool(dw)
+        assert {(p, f, r) for p, f, r, _ in seen} == {
+            (p, f, r) for p, f in FIELDS for r in range(5)}
+        assert {(r, q) for *_, r, q in seen} == {
+            (r, q) for r in range(5) for q in range(-1, r + 2)}
+        assert nonzero > 300
 
     def test_p_divisible_exponents_die(self):
         k = ctx()
@@ -204,8 +244,7 @@ class TestSubspaceBasis:
     def _random_slices(seed, count):
         rng = random.Random(seed)
         for _ in range(count):
-            k = ctx(*rng.choice([(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]),
-                    r=rng.randint(0, 3))
+            k = ctx(*rng.choice(FIELDS), r=rng.randint(0, 3))
             alpha = tuple(rng.choice([0, 1, -1, 2, 3, -4, 6, 9]) for _ in range(k.r))
             yield (k, alpha, rng.randint(0, k.r), rng.choice([B_KIND, Z_KIND]),
                    rng.randint(0, 3))

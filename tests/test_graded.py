@@ -13,7 +13,7 @@ from grmk.graded import (CASE_I, CASE_II, CASE_III, OUT_OF_RANGE, PRIME,
                          WindowOverflow, _ac_closure_entries,
                          _ac_relation_space, _ac_window, _degree_box,
                          _flatten_form, _shift_bound, _slice_fp_dim,
-                         _theta_columns, _theta_pair, _theta_relation_space,
+                         _theta_pair, _theta_relation_space,
                          classify,
                          descriptor, format_symbol, graded_order, is_zero,
                          level_shift_consistency, make_z_tower_element,
@@ -166,7 +166,7 @@ def _ac_rows_by_forms(desc, deg, slices):
                                      for i, c in row.items()})
             for l in range(params.f):
                 g = one_plus_ac(params, z.scale(params.p ** l))
-                vecs.append(_flatten_form(params, g, subs, slice_pos, len(subs)))
+                vecs.append(_flatten_form(params, g, slice_pos))
     return vecs
 
 
@@ -177,7 +177,8 @@ def _theta_rows_by_forms(desc, beta, subs1, subs2):
     if any(x % ps for x in beta):
         return []
     alpha = tuple(x // ps for x in beta)
-    columns = _theta_columns(subs1, subs2)
+    columns = ({s: i for i, s in enumerate(subs1)},
+               {s: len(subs1) + i for i, s in enumerate(subs2)})
     vecs = []
     for sub in subs2:
         w = DiffForm.monomial(params.kctx, alpha, sub)
@@ -256,7 +257,7 @@ class TestRelationRows:
                 beta = tuple(ps * rng.randint(-3, 3) for _ in range(r))
                 if rng.random() < 0.25:
                     beta = tuple(x + rng.randint(0, 1) for x in beta)
-                space = _theta_relation_space(desc, beta, subs1, subs2)
+                space = _theta_relation_space(desc, beta)
                 assert space.added == _theta_rows_by_forms(desc, beta, subs1, subs2)
             s_seen.add(desc.b_level)
         assert {0, 1, 2} <= s_seen
@@ -328,7 +329,7 @@ def _reference_table(desc, radius):
         slices = _ac_window(params, box, desc.window_cap)
         f = params.f
         for deg in (params.q - 1, params.q - 2):
-            space, _, nsub, _ = _ac_relation_space(desc, deg, slices)
+            space, nsub, _ = _ac_relation_space(desc, deg, slices)
             pivots = Counter(slices[piv // (nsub * f)] for piv in space.pivots())
             for beta in box:
                 table[beta] += f * nsub - pivots[beta]

@@ -205,22 +205,22 @@ class TestCompare:
     def test_gaussian_all_match(self):
         ctx = build_field(Q2I, 7)
         params = CDVFParams(2, 1, 0, 2, 2, 1, "1")
-        assert compare(ctx, params).all_match
+        assert compare(ctx, params, filtered_unit_group(ctx, params.n)).all_match
 
     def test_zeta3_all_match(self):
         ctx = build_field(Q3Z, 5)
         params = CDVFParams(3, 1, 0, 2, 1, 1, "2")
-        assert compare(ctx, params).all_match
+        assert compare(ctx, params, filtered_unit_group(ctx, params.n)).all_match
 
     def test_sqrt2_all_match(self):
         ctx = build_field(Q2S, 6)
         params = CDVFParams(2, 1, 0, 2, 1, 1, "1")
-        assert compare(ctx, params).all_match
+        assert compare(ctx, params, filtered_unit_group(ctx, params.n)).all_match
 
     def test_unramified_f2_all_match(self):
         ctx = build_field(EisensteinPoly(2, 2, [-2, 1]), 4)
         params = CDVFParams(2, 2, 0, 1, 1, 1, "1")
-        assert compare(ctx, params).all_match
+        assert compare(ctx, params, filtered_unit_group(ctx, params.n)).all_match
 
     @pytest.mark.parametrize("poly, a, u1_image", [(Q4I, "1", 32), (Q9Z, "2", 243)])
     def test_ramified_f2_all_match(self, poly, a, u1_image):
@@ -234,17 +234,18 @@ class TestCompare:
     def test_beyond_top_threshold_rows_are_one(self):
         ctx = build_field(Q2I, 10)
         params = CDVFParams(2, 1, 0, 2, 2, 1, "1")
-        rows = compare(ctx, params).rows
+        rows = compare(ctx, params, filtered_unit_group(ctx, params.n)).rows
         for m, oracle_order, engine_order, match in rows:
             if m > 6:
                 assert oracle_order == engine_order == 1 and match
 
     def test_params_mismatch(self):
         ctx = build_field(Q2I, 7)
+        table = filtered_unit_group(ctx, 2)
         with pytest.raises(ParamsMismatch):
-            compare(ctx, CDVFParams(2, 1, 0, 4, 2, 1, "1"))
+            compare(ctx, CDVFParams(2, 1, 0, 4, 2, 1, "1"), table)
         with pytest.raises(ParamsMismatch):
-            compare(ctx, CDVFParams(2, 1, 1, 2, 2, 1, "1"))
+            compare(ctx, CDVFParams(2, 1, 1, 2, 2, 1, "1"), table)
 
 
 class TestFixtures:
@@ -369,7 +370,7 @@ class TestFilteredOracle:
         # brute force would enumerate 3^17 and 5^27, 5^47 units here
         ctx = build_field(poly, _c_n(poly, n) + 3)
         params = CDVFParams(poly.p, poly.f, 0, poly.e, n, 1, str(ctx.a_residue()))
-        rep = compare(ctx, params)
+        rep = compare(ctx, params, filtered_unit_group(ctx, params.n))
         assert rep.all_match
         assert math.prod(o for _, o, _, _ in rep.rows) == poly.p ** (n * poly.e * poly.f + n)
 
