@@ -18,8 +18,7 @@ The filtration towers are defined recursively through C; `in_Z` and `in_B`
 decide membership this way, as the reference for `nf_mod`:
 
     in_Z(w, 0) always; in_Z(w, s) iff d(w) = 0 and in_Z(C(w), s-1)
-    in_B(w, 0) iff w = 0; in_B(w, 1) iff d(w) = 0 and C(w) = 0;
-    in_B(w, s) iff d(w) = 0 and in_B(C(w), s-1)      (s >= 2)
+    in_B(w, 0) iff w = 0; in_B(w, s) iff d(w) = 0 and in_B(C(w), s-1)
 
 d preserves the exponent vector alpha, so everything splits into alpha-slices,
 which `slice_vectors` and `from_slice_vectors` lay out as vectors over the
@@ -28,8 +27,8 @@ q-subsets.  On a slice d is the Koszul map (alpha ^ -), applied by
 KContext memoizes its columns and echelon rows on (alpha mod p, q) (at most
 p^r * (r+1) entries).  With v = v_p(alpha), the slice of B_s and of Z_s is
 the Koszul image at alpha/p^v when v < s; otherwise Z_s is the whole slice
-and B_s is zero.  `subspace_basis` returns that closed rule as sparse
-reduced-row-echelon rows, which back `nf_mod` and the graded module.
+and B_s is zero.  `subspace_basis` gives its echelon rows; `nf_mod` reduces
+by the Koszul homotopy (`koszul_nf`, `tower_nf`), with no elimination.
 
 Degrees q < 0 and q > r denote the zero module; operations accept them and
 return zero.
@@ -283,10 +282,7 @@ def in_B(w, s):
         return w.is_zero()
     if not is_closed(w):
         return False
-    cw = cartier(w)
-    if s == 1:
-        return cw.is_zero()
-    return in_B(cw, s - 1)
+    return in_B(cartier(w), s - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +339,7 @@ def koszul_slice(kctx, alpha, q):
         space = RowSpace(kctx.fq)
         for col in cols:
             space.add(col)
-        rows = [space.rows[piv] for piv in space.pivots()]
+        rows = [space.rows[piv] for piv in sorted(space.rows)]
         hit = kctx.koszul_memo[key] = (cols, rows)
     return hit
 
@@ -359,6 +355,47 @@ def koszul_apply(kctx, alpha, q, vec):
     return {j: c for j, c in out.items() if c}
 
 
+def koszul_nf(kctx, alpha, q, vec):
+    """(NF(vec), h(vec)): the normal form of the degree-q slice vector vec
+    modulo the Koszul image (alpha ^ Lambda^{q-1}), by the homotopy
+    h = iota_{e_i0} / alpha_i0, i0 the first index with p not dividing
+    alpha_i0.  As (alpha ^ -)h + h(alpha ^ -) = 1, NF(vec) = vec - alpha ^ h(vec)
+    = h(alpha ^ vec) is zero on the subsets holding i0, the pivots of the
+    image's echelon rows: a column T without i0 of alpha ^ x reads x only at
+    T - j for j > i0 in T, and (T - j) + {i0} comes before T.
+    """
+    if not vec:
+        return {}, {}
+    fq = kctx.fq
+    i0 = next(i for i, x in enumerate(alpha, 1) if x % kctx.p)
+    inv = fq.inv(fq.from_int(alpha[i0 - 1]))
+    signed = (inv, fq.neg(inv))
+    subsets = subsets_of(kctx.r, q)
+    index = subsets_of(kctx.r, q - 1).index
+    h = {}
+    for j, c in vec.items():
+        subset = subsets[j]
+        if i0 in subset:
+            # dlog t_S = (-1)^pos dlog t_i0 ^ dlog t_(S - i0), pos = i0's place in S
+            pos = subset.index(i0)
+            h[index(subset[:pos] + subset[pos + 1:])] = fq.mul(c, signed[pos % 2])
+    nf = dict(vec)
+    for j, c in koszul_apply(kctx, alpha, q, h).items():
+        nf[j] = fq.sub(nf.get(j, 0), c)
+    return {j: c for j, c in nf.items() if c}, h
+
+
+def _tower_root(p, alpha, kind, s):
+    """alpha/p^v for v = v_p(alpha) < s, else None (also at alpha = 0)."""
+    if kind not in (B_KIND, Z_KIND) or s < 0:
+        raise ValueError(f"no tower group {kind!r} at level {s}")
+    for _ in range(s):
+        if any(x % p for x in alpha):
+            return alpha
+        alpha = tuple(x // p for x in alpha)
+    return None
+
+
 def subspace_basis(kctx, alpha, q, kind, s):
     """Reduced-row-echelon basis of the alpha-slice of B_s^q or Z_s^q.
 
@@ -367,38 +404,39 @@ def subspace_basis(kctx, alpha, q, kind, s):
     (its smallest column) and 0 at every other row's pivot.  The rows are
     fresh dicts the caller may modify.
 
-    Closed rule, with v = v_p(alpha) (infinite at alpha = 0): if v < s, both
-    B_s and Z_s are the image of the Koszul map (alpha/p^v ^ -), whose rows
-    are copied out of the context's memo (`koszul_slice`); if v >= s, Z_s is
-    the whole slice and B_s is zero.  This is the recursion through C, which
-    carries the slice at p*beta to the one at beta: C^{-1} acts by Frobenius
-    on codes, and the Koszul rows lie in GF(p), which Frobenius fixes.
+    Closed rule: at a `_tower_root` (v_p(alpha) < s), both B_s and Z_s are
+    the image of the Koszul map at the root alpha/p^v, whose rows are copied
+    out of the context's memo (`koszul_slice`); otherwise Z_s is the whole
+    slice and B_s is zero.  This is the recursion through C, which carries
+    the slice at p*beta to the one at beta: C^{-1} acts by Frobenius on
+    codes, and the Koszul rows lie in GF(p), which Frobenius fixes.
     """
-    if kind not in (B_KIND, Z_KIND):
-        raise ValueError(f"kind must be 'B' or 'Z', got {kind!r}")
-    if s < 0:
-        raise ValueError("s must be >= 0")
+    root = _tower_root(kctx.p, alpha, kind, s)
     n = len(subsets_of(kctx.r, q))
     if n == 0:
         return []
-    p = kctx.p
-    for _ in range(s):
-        if any(x % p for x in alpha):
-            return [dict(row) for row in koszul_slice(kctx, alpha, q)[1]]
-        alpha = tuple(x // p for x in alpha)
+    if root is not None:
+        return [dict(row) for row in koszul_slice(kctx, root, q)[1]]
     return [{i: 1} for i in range(n)] if kind == Z_KIND else []
+
+
+def tower_nf(kctx, alpha, q, kind, s, vec):
+    """The slice vector vec at alpha modulo the slice of B_s or Z_s: its
+    `koszul_nf` at a tower root, else vec modulo B_s = 0, or 0 modulo Z_s."""
+    root = _tower_root(kctx.p, alpha, kind, s)
+    if root is not None:
+        return koszul_nf(kctx, root, q, vec)[0]
+    return vec if kind == B_KIND else {}
 
 
 def nf_mod(w, kind, s):
     """Canonical representative of w modulo B_s^q (or Z_s^q).
 
     Zero exactly when the corresponding membership predicate holds; computed
-    per alpha-slice against the echelon rows of `subspace_basis`.
+    per alpha-slice by `tower_nf`, which needs no elimination.
     """
-    kctx = w.kctx
-    return from_slice_vectors(kctx, w.q, {
-        alpha: RowSpace.from_echelon(
-            kctx.fq, subspace_basis(kctx, alpha, w.q, kind, s)).reduce(vec)
+    return from_slice_vectors(w.kctx, w.q, {
+        alpha: tower_nf(w.kctx, alpha, w.q, kind, s, vec)
         for alpha, vec in slice_vectors(w).items()})
 
 

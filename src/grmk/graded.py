@@ -26,10 +26,10 @@ symbol map a pair (x dlog y_1 ^ ... , 0) corresponds to the symbol
 {1 + pi^m x~, y~_1, ...} and (0, ...) to symbols ending in pi.
 
 Case I is slice-diagonal: a degree-beta slice only meets relations at beta,
-so reduction runs slice by slice.  Only Case II, where 1 + aC moves a slice
-beta divisible by p to beta/p + shift(a), solves the relation subgroup on a
-support-closed degree window.  Canonical representatives are deterministic
-and constant on cosets.
+so each slice reduces by the Koszul homotopy, with no elimination.  Only
+Case II, where 1 + aC moves a slice beta divisible by p to beta/p + shift(a),
+solves the relation subgroup on a support-closed degree window.  Canonical
+representatives are deterministic and constant on cosets.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ import re
 from .ffield import FqContext, KContext, LaurentPoly, parse_element
 from .forms import (B_KIND, Z_KIND, DiffForm, NotClosed, cartier, d,
                     format_form, from_slice_vectors, in_Z, inv_cartier_iter,
-                    koszul_apply, koszul_slice, slice_vectors, subsets_of,
-                    subspace_basis, wedge)
+                    koszul_apply, koszul_nf, slice_vectors, subsets_of,
+                    subspace_basis, tower_nf, wedge)
 from .linalg import RowSpace
 
 CASE_I = "I"
@@ -203,12 +203,6 @@ def _theta_coeff(params, m, i, s):
     return lam
 
 
-def _theta_pair(params, s, coeff_code, w):
-    first = inv_cartier_iter(d(w), s)
-    second = inv_cartier_iter(w, s).scale(coeff_code)
-    return first, second
-
-
 def theta(params, m, w):
     """Relation map w -> (C^{-s} d w, (-1)^q (m-ie)/p^s C^{-s} w).
 
@@ -220,7 +214,7 @@ def theta(params, m, w):
         raise PreconditionViolated(
             f"theta is only defined in Case I with n-i > s; m={m} gives {case!r}")
     lam = _theta_coeff(params, m, case.i, case.s)
-    return _theta_pair(params, case.s, lam, w)
+    return inv_cartier_iter(d(w), case.s), inv_cartier_iter(w, case.s).scale(lam)
 
 
 def one_plus_ac(params, z):
@@ -263,6 +257,11 @@ class GrDescriptor:
             self.branch = "zero"
         else:
             raise OutOfRangeLevel(f"no presentation at level m = {m}")
+
+    @property
+    def tower(self):
+        """(kind, level) of the tower group both slots are taken modulo."""
+        return (B_KIND, self.b_level) if self.branch == "theta" else (Z_KIND, self.z_level)
 
     def zero_element(self):
         k = self.params.kctx
@@ -328,66 +327,35 @@ def descriptor(params, m, window_cap=DEFAULT_WINDOW_CAP):
 
 
 # ---------------------------------------------------------------------------
-# the slice-diagonal quotient: Case I, and the class entries of Case II
+# the slice-diagonal quotient of Case I
 
-def _theta_relation_space(desc, beta):
-    """Relations of the slice-diagonal quotient O^{q-1} (+) O^{q-2} at beta.
-
-    A slice vector holds the (q-1)-subsets first, then the (q-2)-subsets.
-    Both slots hold the tower rows at beta: B_{b_level} for 'theta', and
-    Z_{z_level} for 'zmod' and 'ac'.  For 'ac' this gives the class entry
-    of a slice whose (1+aC) rows lead at beta itself; graded_order replaces
-    it on the closure of the trailing slices (see _ac_closure_entries).
-    """
-    # For 'theta', when beta = p^s alpha, B_s at beta is zero; add one row
-    # theta(t^alpha dlog S) per (q-2)-subset S:
-    #   first slot   C^{-s} d(t^alpha dlog S) = sum_T frob^s(K[T, S]) t^beta dlog T
-    #   second slot  C^{-s}(lam t^alpha dlog S) = lam frob^s(1) t^beta dlog S
-    # with K the Koszul columns at (alpha, q-1).  K's entries, lam and 1 lie in
-    # GF(p), which frob fixes, so the row is K's column of S with lam appended.
+def _theta_relation_space(desc, beta, v1, v2):
+    """Normal form of the slot vectors (v1, v2) of O^{q-1} (+) O^{q-2} at
+    beta for 'theta' and 'zmod': both slots modulo the tower group
+    (`tower_nf`), and for 'theta' at beta = p^s alpha, where B_s is zero,
+    modulo the theta rows (alpha ^ x, lam x) for x in Lambda^{q-2}."""
+    # C^{-s} fixes the GF(p) entries of d and lam, and lam = (-1)^q (m-ie)/p^s
+    # is a unit as v_p(ie) > s = v_p(m).  So at p | alpha the rows (0, lam x)
+    # kill the second slot; else the row at x = h(v1) (koszul_nf) leaves
+    # (NF(v1), v2 - lam h(v1)), and the rows at x = alpha ^ y are (0, lam x).
+    # The result is zero at the relation pivots, the subsets holding i0.
     params = desc.params
     kctx = params.kctx
     q = params.q
-    n1 = len(subsets_of(kctx.r, q - 1))
-    if desc.branch == "theta":
-        kind, level = B_KIND, desc.b_level
-    else:
-        kind, level = Z_KIND, desc.z_level
-    rows1 = subspace_basis(kctx, beta, q - 1, kind, level)
-    rows2 = subspace_basis(kctx, beta, q - 2, kind, level)
-    if desc.branch == "ac" and any(x % params.p for x in beta):
-        for deg, rows in ((q - 1, rows1), (q - 2, rows2)):
-            _check_closed(kctx, beta, deg, rows)
-    space = RowSpace.from_echelon(
-        kctx.fq, rows1 + [{n1 + i: c for i, c in row.items()} for row in rows2])
+    kind, level = desc.tower
     ps = params.p ** level
     if desc.branch != "theta" or any(x % ps for x in beta):
-        return space
+        return (tower_nf(kctx, beta, q - 1, kind, level, v1),
+                tower_nf(kctx, beta, q - 2, kind, level, v2))
     alpha = tuple(x // ps for x in beta)
-    lam = desc.theta_coeff
-    for i, col in enumerate(koszul_slice(kctx, alpha, q - 1)[0]):
-        vec = dict(col)
-        if lam:
-            vec[n1 + i] = lam
-        if vec:
-            space.add(vec)
-    return space
-
-
-def _reduce_slices(desc, w1, w2):
-    n1 = len(subsets_of(desc.params.r, w1.q))
-    vecs = slice_vectors(w1)
-    for beta, vec in slice_vectors(w2).items():
-        vecs.setdefault(beta, {}).update((n1 + i, c) for i, c in vec.items())
-    out1, out2 = {}, {}
-    for beta, vec in vecs.items():
-        for i, c in _theta_relation_space(desc, beta).reduce(vec).items():
-            if i < n1:
-                out1.setdefault(beta, {})[i] = c
-            else:
-                out2.setdefault(beta, {})[i - n1] = c
-    return (from_slice_vectors(w1.kctx, w1.q, out1),
-            from_slice_vectors(w2.kctx, w2.q, out2))
+    if not any(x % params.p for x in alpha):
+        return v1, {}
+    fq = kctx.fq
+    n1, h = koszul_nf(kctx, alpha, q - 1, v1)
+    v2 = dict(v2)
+    for i, c in h.items():
+        v2[i] = fq.sub(v2.get(i, 0), fq.mul(desc.theta_coeff, c))
+    return n1, koszul_nf(kctx, alpha, q - 2, v2)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +523,13 @@ def reduce(el):
     if desc.branch == "ac":
         return GrElement(desc, _reduce_ac_slot(desc, el.w1, params.q - 1),
                          _reduce_ac_slot(desc, el.w2, params.q - 2))
-    return GrElement(desc, *_reduce_slices(desc, el.w1, el.w2))
+    vecs1, vecs2 = slice_vectors(el.w1), slice_vectors(el.w2)
+    out1, out2 = {}, {}
+    for beta in dict.fromkeys(itertools.chain(vecs1, vecs2)):
+        out1[beta], out2[beta] = _theta_relation_space(
+            desc, beta, vecs1.get(beta, {}), vecs2.get(beta, {}))
+    return GrElement(desc, from_slice_vectors(params.kctx, params.q - 1, out1),
+                     from_slice_vectors(params.kctx, params.q - 2, out2))
 
 
 def is_zero(el):
@@ -566,10 +540,19 @@ def is_zero(el):
 # orders and dimension tables
 
 def _slice_fp_dim(desc, beta):
-    """GF(p)-dimension of the slice-diagonal quotient pair at degree beta."""
+    """GF(p)-dimension of the slice-diagonal quotient pair at degree beta: the
+    tower rows of both slots, and C(r, q-2) theta rows (_theta_relation_space)."""
     params = desc.params
-    n = len(subsets_of(params.r, params.q - 1)) + len(subsets_of(params.r, params.q - 2))
-    return params.f * (n - _theta_relation_space(desc, beta).rank())
+    kind, level = desc.tower
+    free = 0
+    for deg in (params.q - 1, params.q - 2):
+        rows = subspace_basis(params.kctx, beta, deg, kind, level)
+        if desc.branch == "ac" and any(x % params.p for x in beta):
+            _check_closed(params.kctx, beta, deg, rows)
+        free += len(subsets_of(params.r, deg)) - len(rows)
+    if desc.branch == "theta" and not any(x % params.p ** level for x in beta):
+        free -= len(subsets_of(params.r, params.q - 2))
+    return params.f * free
 
 
 def _ac_closure_entries(desc):
@@ -608,7 +591,7 @@ def _ac_closure_entries(desc):
             continue
         for gamma in reach:
             entries[gamma] += f * nsub
-        for piv in space.pivots():
+        for piv in space.rows:
             entries[reach[piv // (nsub * f)]] -= 1
     return entries
 
@@ -635,8 +618,8 @@ def graded_order(desc, radius=DEFAULT_TABLE_RADIUS):
     beta and alpha = beta/p^s mod p.  For 'zmod' and 'ac' it is beta mod
     p^{z_level}.  Case II then assigns the exact entries on the closure of
     the slices whose (1+aC) rows trail in the contraction ball
-    (_ac_closure_entries).  So a table costs one elimination per class, plus
-    one of that closure, however large radius is.
+    (_ac_closure_entries).  So a table costs one slice count per class,
+    plus one elimination of that closure, however large radius is.
     """
     params = desc.params
     box = _degree_box(params.r, radius)

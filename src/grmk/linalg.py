@@ -12,10 +12,8 @@ deterministic.
 To keep full reduction cheap, `add` keeps a column index: each non-pivot
 column maps to the list of pivots whose rows are nonzero there.  A new pivot
 is then eliminated only from the rows the index names for its column, not
-from every row.  The index is built on the first `add`, over whatever rows
-are already there, so a space from `from_echelon` that is only used to
-`reduce` never builds it.  Its lists are short (most columns are held by one
-or two rows), and lists cost less memory than sets here.
+from every row.  Its lists are short (most columns are held by one or two
+rows), and lists cost less memory than sets here.
 """
 
 from __future__ import annotations
@@ -25,20 +23,7 @@ class RowSpace:
     def __init__(self, fq):
         self.fq = fq
         self.rows = {}  # pivot column -> row dict with 1 at the pivot
-        self.holders = None  # non-pivot column -> pivots of rows nonzero there
-
-    @classmethod
-    def from_echelon(cls, fq, rows):
-        """The span of rows that are already in reduced echelon form."""
-        space = cls(fq)
-        space.rows = {min(row): row for row in rows}
-        return space
-
-    def rank(self):
-        return len(self.rows)
-
-    def pivots(self):
-        return sorted(self.rows)
+        self.holders = {}  # non-pivot column -> pivots of rows nonzero there
 
     def reduce(self, vec):
         """Canonical representative of vec modulo the row space."""
@@ -69,12 +54,6 @@ class RowSpace:
         inv = fq.inv(rem[piv])
         row = {c: fq.mul(v, inv) for c, v in rem.items()}
         holders = self.holders
-        if holders is None:
-            holders = self.holders = {}
-            for p, other in self.rows.items():
-                for rc in other:
-                    if rc != p:
-                        holders.setdefault(rc, []).append(p)
         # keep the basis fully reduced: eliminate the new pivot from the rows
         # that hold it.  The other columns of row are non-pivot columns, and
         # each ends up indexed, since row itself is registered last.
@@ -105,4 +84,4 @@ def rank_of(fq, vectors):
     space = RowSpace(fq)
     for v in vectors:
         space.add(v)
-    return space.rank()
+    return len(space.rows)

@@ -1,9 +1,14 @@
-"""Test-only references on the oracle's O_K/(pi^N), kept out of the package.
+"""Test-only references, kept out of the package: helpers on the oracle's
+O_K/(pi^N), a monomial d, and the slice-diagonal quotient by elimination.
 
 These helpers return values for the tests to assert on; they assert nothing
 themselves, since pytest rewrites asserts only in test modules and python -O
 strips the rest.
 """
+
+from grmk.forms import B_KIND, Z_KIND, DiffForm, subsets_of, subspace_basis
+from grmk.graded import theta
+from grmk.linalg import RowSpace
 
 
 def residue(ctx, x):
@@ -63,3 +68,41 @@ def d_terms(w):
             key = tuple(sorted(subset + (i,))), alpha
             out[key] = fq.add(out.get(key, 0), term)
     return {key: c for key, c in out.items() if c}
+
+
+def slice_quotient(desc, beta):
+    """The relations of the slice-diagonal quotient O^{q-1} (+) O^{q-2} at
+    beta, eliminated into a RowSpace over GF(p^f).
+
+    A slice vector holds the (q-1)-subsets first, then the (q-2)-subsets.
+    Both slots get the tower rows of subspace_basis: B_{b_level} for
+    'theta', Z_{z_level} for 'zmod' and 'ac' (the class entry of a Case II
+    slice).  For 'theta' at beta = p^s alpha each (q-2)-subset S adds the row
+    theta(t^alpha dlog S), built from forms by graded.theta and read off at
+    beta.
+    """
+    params = desc.params
+    kctx = params.kctx
+    subs1 = subsets_of(kctx.r, params.q - 1)
+    subs2 = subsets_of(kctx.r, params.q - 2)
+    if desc.branch == "theta":
+        kind, level = B_KIND, desc.b_level
+    else:
+        kind, level = Z_KIND, desc.z_level
+    space = RowSpace(kctx.fq)
+    for offset, deg in ((0, params.q - 1), (len(subs1), params.q - 2)):
+        for row in subspace_basis(kctx, beta, deg, kind, level):
+            space.add({offset + i: c for i, c in row.items()})
+    ps = params.p ** level
+    if desc.branch != "theta" or any(x % ps for x in beta):
+        return space
+    alpha = tuple(x // ps for x in beta)
+    columns = ({sub: i for i, sub in enumerate(subs1)},
+               {sub: len(subs1) + i for i, sub in enumerate(subs2)})
+    for sub in subs2:
+        vec = {}
+        for form, cols in zip(theta(params, desc.m, DiffForm.monomial(kctx, alpha, sub)),
+                              columns):
+            vec.update((cols[u], c) for (u, g), c in form.terms.items() if g == beta)
+        space.add(vec)
+    return space

@@ -13,7 +13,8 @@ its coefficient (m - ie)/p^s is a unit mod p; at n = 1 this is Bloch-Kato's
 gr^m = Omega^{q-1} for p not dividing m.  A 'zmod' entry is
 f*C(r, q-1)*[v_p(beta) < n-i], a Case II entry outside the contraction ball
 is f*C(r, q-1)*[v_p(beta) < z_level], and a Case III entry is 0.  Inside the
-ball no closed form is known, so those entries are not checked.
+ball no closed form is known, so those entries are not checked, except at
+r = 0, where the ball is the one slice () and every order has a closed form.
 """
 
 import itertools
@@ -80,6 +81,40 @@ def expected_entry(P, m, beta):
     return full if v < P.n - i else 0
 
 
+def norm_to_fp(fq, x):
+    """N_{GF(p^f)/GF(p)}(x) = x * x^p * ... * x^(p^(f-1)), as a code."""
+    norm = 1
+    for _ in range(fq.f):
+        norm, x = fq.mul(norm, x), fq.frob(x)
+    return norm
+
+
+def expected_r0_order(P, m):
+    """|gr^m| at r = 0, where Omega^0 = GF(p^f) and Omega^j = 0 for j >= 1.
+
+    'theta': p^f at q = 1 (B_s of Omega^0 is 0, and theta has source 0) and
+    1 at q = 2, since theta(x) = (0, lam x) with lam = (m - ie)/p^s (up to
+    sign), a unit mod p.  Case II: p when N(-a) = 1, else 1, since the
+    kernel of y -> y^p + a*y on GF(p^f) is a GF(p)-line exactly when -a is
+    a (p-1)-th power.  'zmod' (Z_j is all of Omega^0), Case III and every
+    q >= 3 give 1.  lam is computed here from (m, i, e, s), and asserted to
+    be a unit, which the engine's slice rule takes for granted.
+    """
+    p, e, n = P.p, P.e, P.n
+    c = [0] + [i * e + e // (p - 1) for i in range(1, n + 1)]
+    if P.q >= 3 or m > c[n]:
+        return 1
+    if m in c:
+        fq = P.kctx.fq
+        return p if norm_to_fp(fq, fq.neg(P.a.terms[()])) == 1 else 1
+    i = max(j for j in range(n) if c[j] < m)
+    s = vp_int(m, p)
+    if n - i <= s:
+        return 1
+    assert (m - i * e) % p ** s == 0 and (m - i * e) // p ** s % p, (P, m)
+    return p ** P.f if P.q == 1 else 1
+
+
 class TestSliceDimensions:
     @pytest.mark.parametrize("p,f,r", [(2, 1, 2), (2, 2, 3), (3, 1, 3),
                                        (3, 2, 2), (5, 1, 2), (2, 1, 4)])
@@ -143,6 +178,25 @@ class TestTableEntries:
         assert desc.branch == "ac" and ball_radius(P) == 0
         table = graded_order(desc, 3)
         assert table[(2,)] == 0 and table[(3,)] == 1
+
+    def test_r0_orders_of_every_branch(self):
+        # r = 0, every level of every branch, every nonzero a
+        orders = set()
+        levels = 0
+        for p, f in [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3), (5, 2)]:
+            kctx = KContext(p, f, 0)
+            for n in (1, 2):
+                for e in (p ** (n - 1) * (p - 1) * k for k in (1, 2, 3)):
+                    for code in range(1, p ** f):
+                        for q in (1, 2, 3):
+                            P = CDVFParams(p, f, 0, e, n, q, str(kctx.monomial((), code)))
+                            for m in range(1, P.threshold(n) + 2):
+                                order = graded_order(descriptor(P, m))
+                                assert order == expected_r0_order(P, m), (P, m)
+                                orders.add(order)
+                                levels += 1
+        assert {1, 2, 3, 4, 5, 7, 8, 9, 25} <= orders
+        assert levels == 41598
 
     def test_r0_orders(self):
         # r = 0: theta orders are p^(f*[q = 1]); zmod and Case III orders are 1

@@ -5,10 +5,11 @@ import pytest
 from grmk.ffield import (EXP_LIMIT, ContextMismatch, ExponentOverflow,
                          KContext, LaurentPoly)
 from grmk.forms import (B_KIND, Z_KIND, DiffForm, NotClosed, cartier, d,
-                        format_form, in_B, in_Z, inv_cartier, inv_cartier_iter,
-                        is_closed, koszul_matrix, nf_mod, parse_form,
+                        format_form, from_slice_vectors, in_B, in_Z,
+                        inv_cartier, inv_cartier_iter, is_closed,
+                        koszul_matrix, nf_mod, parse_form, slice_vectors,
                         subsets_of, subspace_basis, wedge)
-from grmk.linalg import rank_of
+from grmk.linalg import RowSpace, rank_of
 from grmk.selftest import rand_form
 from reference import d_terms
 
@@ -331,6 +332,25 @@ class TestNfMod:
             red = nf_mod(w, B_KIND, s)
             assert nf_mod(red - w, B_KIND, s).is_zero()
             assert nf_mod(red, B_KIND, s) == red
+
+    def test_matches_elimination_over_the_tower_rows(self):
+        # the homotopy normal form against RowSpace reduction by the rows of
+        # subspace_basis, slice by slice; p-power degrees reach the towers
+        rng = random.Random(18)
+        for _ in range(200):
+            k = ctx(*rng.choice(FIELDS), r=rng.randint(0, 4))
+            q = rng.randint(0, k.r)
+            s = rng.randint(0, 3)
+            w = rand_form(rng, k, q) + inv_cartier_iter(rand_form(rng, k, q),
+                                                        rng.randint(1, 2))
+            for kind in (B_KIND, Z_KIND):
+                want = {}
+                for alpha, vec in slice_vectors(w).items():
+                    space = RowSpace(k.fq)
+                    for row in subspace_basis(k, alpha, q, kind, s):
+                        space.add(row)
+                    want[alpha] = space.reduce(vec)
+                assert nf_mod(w, kind, s) == from_slice_vectors(k, q, want), (w, kind, s)
 
     def test_zero_iff_membership(self):
         rng = random.Random(17)

@@ -13,15 +13,16 @@ from grmk.graded import (CASE_I, CASE_II, CASE_III, OUT_OF_RANGE, PRIME,
                          WindowOverflow, _ac_closure_entries,
                          _ac_relation_space, _ac_window, _degree_box,
                          _flatten_form, _shift_bound, _slice_fp_dim,
-                         _theta_pair, _theta_relation_space,
+                         _theta_relation_space,
                          classify,
                          descriptor, format_symbol, graded_order, is_zero,
                          level_shift_consistency, make_z_tower_element,
                          one_plus_ac, parse_symbol, reduce, symbol_to_forms,
-                         theta)
+                         theta, vp)
 from grmk.linalg import RowSpace
 from grmk.reports import render_consistency
 from grmk.selftest import rand_form
+from reference import slice_quotient
 
 
 def params_q2i(q=1, r=0):
@@ -170,27 +171,6 @@ def _ac_rows_by_forms(desc, deg, slices):
     return vecs
 
 
-def _theta_rows_by_forms(desc, beta, subs1, subs2):
-    """The theta rows built from forms: _theta_pair on t^alpha dlog S."""
-    params = desc.params
-    ps = params.p ** desc.b_level
-    if any(x % ps for x in beta):
-        return []
-    alpha = tuple(x // ps for x in beta)
-    columns = ({s: i for i, s in enumerate(subs1)},
-               {s: len(subs1) + i for i, s in enumerate(subs2)})
-    vecs = []
-    for sub in subs2:
-        w = DiffForm.monomial(params.kctx, alpha, sub)
-        vec = {}
-        for t, cols in zip(_theta_pair(params, desc.b_level, desc.theta_coeff, w),
-                           columns):
-            vec.update((cols[u], c) for (u, g), c in t.terms.items() if g == beta)
-        if vec:
-            vecs.append(vec)
-    return vecs
-
-
 # (p, f, e, n) with p^(n-1)(p-1) | e, and a values by residue degree f
 _ROW_FIELDS = [(2, 1, 2, 2), (2, 1, 4, 3), (3, 1, 6, 2), (2, 2, 4, 3),
                (3, 2, 6, 2)]
@@ -240,28 +220,6 @@ class TestRelationRows:
                 want = _ac_rows_by_forms(desc, 0, slices)
                 assert space.added == want and len(want) == f, (p, f, r)
 
-    def test_theta_rows_match_forms(self, monkeypatch):
-        monkeypatch.setattr("grmk.graded.RowSpace", _RecordingSpace)
-        rng = random.Random(42)
-        s_seen = set()
-        for _ in range(60):
-            r = rng.randint(1, 3)
-            P = _random_row_params(rng, r)
-            thetas = [m for m in range(1, P.threshold(P.n))
-                      if descriptor(P, m).branch == "theta"]
-            desc = descriptor(P, rng.choice(thetas))
-            subs1 = subsets_of(r, P.q - 1)
-            subs2 = subsets_of(r, P.q - 2)
-            ps = P.p ** desc.b_level
-            for _ in range(4):
-                beta = tuple(ps * rng.randint(-3, 3) for _ in range(r))
-                if rng.random() < 0.25:
-                    beta = tuple(x + rng.randint(0, 1) for x in beta)
-                space = _theta_relation_space(desc, beta)
-                assert space.added == _theta_rows_by_forms(desc, beta, subs1, subs2)
-            s_seen.add(desc.b_level)
-        assert {0, 1, 2} <= s_seen
-
     def test_not_closed_row_raises(self, monkeypatch):
         # t1 is not closed (d t1 = t1 dlog t1), so C, and 1+aC, reject it
         P = CDVFParams(2, 1, 1, 2, 2, 1, "1")
@@ -277,6 +235,59 @@ class TestRelationRows:
         desc = descriptor(P, 4)
         with pytest.raises(AssertionError, match="escaped the closed window"):
             _ac_relation_space(desc, 0, [(2,)])
+
+
+# (p, f, e, n) with p^(n-1)(p-1) | e: theta levels with s = 0, 1, 2, zmod
+# and Case II levels at p = 2, 3 and 5, over GF(p) and GF(p^2)
+_SLICE_FIELDS = [(2, 1, 4, 3), (2, 2, 4, 3), (3, 1, 18, 3), (3, 2, 6, 2),
+                 (5, 1, 20, 2), (5, 2, 20, 2)]
+
+
+def _slot_vector(rng, fq, n):
+    return {i: rng.randrange(1, fq.q) for i in range(n) if rng.random() < 0.6}
+
+
+class TestSliceQuotient:
+    # the homotopy normal forms and the subset counts of the slice-diagonal
+    # quotient against the elimination of reference.slice_quotient
+
+    def test_normal_forms_and_dims_match_elimination(self):
+        rng = random.Random(42)
+        seen = set()
+        slices = set()
+        for _ in range(600):
+            p, f, e, n = rng.choice(_SLICE_FIELDS)
+            r = rng.randint(0, 4)
+            P = CDVFParams(p, f, r, e, n, rng.randint(1, r + 2), "1")
+            desc = descriptor(P, rng.randint(1, P.threshold(n)))
+            level = desc.tower[1]
+            # degrees divisible by p^level, p^(level+1) or neither
+            scale = p ** rng.randint(0, level + 1)
+            beta = tuple(scale * rng.randint(-3, 3) for _ in range(r))
+            space = slice_quotient(desc, beta)
+            n1 = len(subsets_of(r, P.q - 1))
+            n2 = len(subsets_of(r, P.q - 2))
+            assert _slice_fp_dim(desc, beta) == f * (n1 + n2 - len(space.rows)), \
+                (P, desc, beta)
+            if desc.branch != "ac":
+                v1 = _slot_vector(rng, P.kctx.fq, n1)
+                v2 = _slot_vector(rng, P.kctx.fq, n2)
+                want = space.reduce({**v1, **{n1 + i: c for i, c in v2.items()}})
+                assert _theta_relation_space(desc, beta, v1, v2) == (
+                    {i: c for i, c in want.items() if i < n1},
+                    {i - n1: c for i, c in want.items() if i >= n1}), (P, desc, beta)
+            seen.add((desc.branch, desc.b_level, p, f, r))
+            if r:
+                slices.add((desc.branch, min(vp(abs(x), p) if x else 9 for x in beta) - level))
+        # below the tower level, at it (the theta rows for alpha prime to p)
+        # and above it (for alpha divisible by p)
+        assert {(b, min(max(v, -1), 1)) for b, v in slices} == {
+            (b, v) for b in ("theta", "zmod", "ac") for v in (-1, 0, 1)}
+        assert {(b, s) for b, s, *_ in seen} == {
+            ("theta", 0), ("theta", 1), ("theta", 2), ("zmod", None), ("ac", None)}
+        assert {p for _, _, p, _, _ in seen} == {2, 3, 5}
+        assert {f for *_, f, _ in seen} == {1, 2}
+        assert {r for *_, r in seen} == {0, 1, 2, 3, 4}
 
 
 class TestDescriptorOrders:
@@ -318,8 +329,8 @@ class TestDescriptorOrders:
 
 def _reference_table(desc, radius):
     """graded_order without residue classes: every Case I slice of the box is
-    eliminated on its own, and Case II on the closed window of the whole box,
-    whose pivots are counted per slice."""
+    eliminated on its own (reference.slice_quotient), and Case II on the
+    closed window of the whole box, whose pivots are counted per slice."""
     params = desc.params
     box = _degree_box(params.r, radius)
     if desc.branch == "zero":
@@ -330,11 +341,13 @@ def _reference_table(desc, radius):
         f = params.f
         for deg in (params.q - 1, params.q - 2):
             space, nsub, _ = _ac_relation_space(desc, deg, slices)
-            pivots = Counter(slices[piv // (nsub * f)] for piv in space.pivots())
+            pivots = Counter(slices[piv // (nsub * f)] for piv in space.rows)
             for beta in box:
                 table[beta] += f * nsub - pivots[beta]
     else:
-        table = {beta: _slice_fp_dim(desc, beta) for beta in box}
+        n = len(subsets_of(params.r, params.q - 1)) + len(subsets_of(params.r, params.q - 2))
+        table = {beta: params.f * (n - len(slice_quotient(desc, beta).rows))
+                 for beta in box}
     return params.p ** table[()] if params.r == 0 else table
 
 

@@ -66,10 +66,8 @@ def random_vec(rng, fq, vectors):
 def check_space(fq, space, vectors):
     ref = gauss_jordan(fq, vectors)
     assert space.rows == ref
-    assert space.pivots() == sorted(ref)
-    if space.holders is not None:
-        assert {col: sorted(pivs) for col, pivs in space.holders.items()} \
-            == transpose_off_pivot(ref)
+    assert {col: sorted(pivs) for col, pivs in space.holders.items()} \
+        == transpose_off_pivot(ref)
 
 
 def check_reduce(fq, space, vectors, vec):
@@ -100,29 +98,7 @@ def test_add_keeps_reference_rref_and_index(p, f, seed):
         assert (piv is None) if not new else ({piv} == new)
         check_space(fq, space, vectors)
         check_reduce(fq, space, vectors, random_vec(rng, fq, vectors))
-    assert space.rank() == rank_of(fq, vectors) == len(gauss_jordan(fq, vectors))
-
-
-@pytest.mark.parametrize("p,f", FIELDS)
-@pytest.mark.parametrize("seed", range(4))
-def test_from_echelon_then_add(p, f, seed):
-    fq = FqContext(p, f)
-    rng = random.Random(1000 + seed)
-    vectors = []
-    for _ in range(4):
-        vectors.append(random_vec(rng, fq, vectors))
-    start = gauss_jordan(fq, vectors)
-    space = RowSpace.from_echelon(fq, [dict(row) for row in start.values()])
-    assert space.holders is None  # built only by the first add
-    check_space(fq, space, vectors)
-    check_reduce(fq, space, vectors, random_vec(rng, fq, vectors))
-    for _ in range(12):
-        vec = random_vec(rng, fq, vectors)
-        space.add(vec)
-        vectors.append(vec)
-        assert space.holders is not None
-        check_space(fq, space, vectors)
-        check_reduce(fq, space, vectors, random_vec(rng, fq, vectors))
+    assert len(space.rows) == rank_of(fq, vectors) == len(gauss_jordan(fq, vectors))
 
 
 def test_index_follows_vanishing_entries():
