@@ -24,11 +24,13 @@ d preserves the exponent vector alpha, so everything splits into alpha-slices,
 which `slice_vectors` and `from_slice_vectors` lay out as vectors over the
 q-subsets.  On a slice d is the Koszul map (alpha ^ -), applied by
 `koszul_apply`; its entries read alpha only through alpha mod p, so each
-KContext memoizes its columns and echelon rows on (alpha mod p, q) (at most
-p^r * (r+1) entries).  With v = v_p(alpha), the slice of B_s and of Z_s is
-the Koszul image at alpha/p^v when v < s; otherwise Z_s is the whole slice
-and B_s is zero.  `subspace_basis` gives its echelon rows; `nf_mod` reduces
-by the Koszul homotopy (`koszul_nf`, `tower_nf`), with no elimination.
+KContext memoizes its columns, echelon rows and contracting homotopy on
+(alpha mod p, q) (at most p^r * (r+1) entries, `koszul_slice`).  With
+v = v_p(alpha), the slice of B_s and of Z_s is the Koszul image at
+alpha/p^v when v < s; otherwise Z_s is the whole slice and B_s is zero.
+`subspace_basis` gives its echelon rows, which the homotopy reads off the
+columns, and `nf_mod` reduces by the homotopy (`koszul_nf`, `tower_nf`):
+nothing here eliminates.
 
 Degrees q < 0 and q > r denote the zero module; operations accept them and
 return zero.
@@ -50,7 +52,6 @@ import itertools
 
 from .ffield import (ContextMismatch, ParseError, check_alpha, format_element,
                      parse_element)
-from .linalg import RowSpace
 
 B_KIND = "B"
 Z_KIND = "Z"
@@ -326,21 +327,41 @@ def koszul_matrix(kctx, alpha, q):
 
 
 def koszul_slice(kctx, alpha, q):
-    """Koszul columns at (alpha, q) and the reduced echelon rows of their span.
+    """Koszul columns at (alpha, q), the reduced echelon rows of their span,
+    and the homotopy h = iota_{e_i0} / alpha_i0 (i0 the first index with p
+    not dividing alpha_i0) as a map T -> (index of T - i0, (-1)^pos / alpha_i0)
+    on the q-subsets T holding i0, pos being i0's place in T.
 
-    Both depend on alpha only through alpha mod p, so they are memoized per
-    context on (alpha mod p, q).  The returned lists and dicts are shared:
-    callers must not modify them.
+    The row at T is that column times that scale, with no elimination: it has
+    a 1 at T and its other entries at (T - i0) + {j}, j > i0, after T and
+    without i0.  So these C(r-1, q-1) rows, the rank of the image as the
+    Koszul complex is exact, are reduced echelon with pivots the subsets
+    holding i0.  An entry is stored only once d, the columns at q + 1, kills
+    its rows; else NotClosed is raised.  All three depend on alpha only
+    through alpha mod p, so they are memoized per context on (alpha mod p,
+    q), and are shared: callers must not modify them.
     """
     key = (tuple([x % kctx.p for x in alpha]), q)
     hit = kctx.koszul_memo.get(key)
     if hit is None:
+        fq = kctx.fq
         cols = koszul_matrix(kctx, alpha, q)
-        space = RowSpace(kctx.fq)
-        for col in cols:
-            space.add(col)
-        rows = [space.rows[piv] for piv in sorted(space.rows)]
-        hit = kctx.koszul_memo[key] = (cols, rows)
+        hom = {}
+        i0 = next((i for i, x in enumerate(alpha, 1) if x % kctx.p), None)
+        if i0 is not None:
+            inv = fq.inv(fq.from_int(alpha[i0 - 1]))
+            signed = (inv, fq.neg(inv))
+            index = subsets_of(kctx.r, q - 1).index
+            for t, subset in enumerate(subsets_of(kctx.r, q)):
+                if i0 in subset:
+                    # dlog t_T = (-1)^pos dlog t_i0 ^ dlog t_(T - i0)
+                    pos = subset.index(i0)
+                    hom[t] = index(subset[:pos] + subset[pos + 1:]), signed[pos % 2]
+        rows = [{j: fq.mul(v, scale) for j, v in cols[u].items()}
+                for u, scale in hom.values()]
+        if q < kctx.r and any(koszul_apply(kctx, alpha, q + 1, row) for row in rows):
+            raise NotClosed(f"d does not kill the Koszul image rows at {key}")
+        hit = kctx.koszul_memo[key] = (cols, rows, hom)
     return hit
 
 
@@ -357,28 +378,21 @@ def koszul_apply(kctx, alpha, q, vec):
 
 def koszul_nf(kctx, alpha, q, vec):
     """(NF(vec), h(vec)): the normal form of the degree-q slice vector vec
-    modulo the Koszul image (alpha ^ Lambda^{q-1}), by the homotopy
-    h = iota_{e_i0} / alpha_i0, i0 the first index with p not dividing
-    alpha_i0.  As (alpha ^ -)h + h(alpha ^ -) = 1, NF(vec) = vec - alpha ^ h(vec)
-    = h(alpha ^ vec) is zero on the subsets holding i0, the pivots of the
-    image's echelon rows: a column T without i0 of alpha ^ x reads x only at
-    T - j for j > i0 in T, and (T - j) + {i0} comes before T.
+    modulo the Koszul image (alpha ^ Lambda^{q-1}), by the homotopy h of
+    `koszul_slice`.  As (alpha ^ -)h + h(alpha ^ -) = 1, NF(vec) =
+    vec - alpha ^ h(vec) = h(alpha ^ vec) is zero on the subsets holding
+    i0, the pivots of the image's echelon rows: it is vec less vec[T] times
+    the row at T, for each pivot T.
     """
     if not vec:
         return {}, {}
     fq = kctx.fq
-    i0 = next(i for i, x in enumerate(alpha, 1) if x % kctx.p)
-    inv = fq.inv(fq.from_int(alpha[i0 - 1]))
-    signed = (inv, fq.neg(inv))
-    subsets = subsets_of(kctx.r, q)
-    index = subsets_of(kctx.r, q - 1).index
+    hom = koszul_slice(kctx, alpha, q)[2]
     h = {}
     for j, c in vec.items():
-        subset = subsets[j]
-        if i0 in subset:
-            # dlog t_S = (-1)^pos dlog t_i0 ^ dlog t_(S - i0), pos = i0's place in S
-            pos = subset.index(i0)
-            h[index(subset[:pos] + subset[pos + 1:])] = fq.mul(c, signed[pos % 2])
+        if j in hom:
+            u, scale = hom[j]
+            h[u] = fq.mul(c, scale)
     nf = dict(vec)
     for j, c in koszul_apply(kctx, alpha, q, h).items():
         nf[j] = fq.sub(nf.get(j, 0), c)

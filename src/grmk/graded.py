@@ -40,10 +40,10 @@ import math
 import re
 
 from .ffield import FqContext, KContext, LaurentPoly, parse_element
-from .forms import (B_KIND, Z_KIND, DiffForm, NotClosed, cartier, d,
-                    format_form, from_slice_vectors, in_Z, inv_cartier_iter,
-                    koszul_apply, koszul_nf, slice_vectors, subsets_of,
-                    subspace_basis, tower_nf, wedge)
+from .forms import (B_KIND, Z_KIND, DiffForm, cartier, d, format_form,
+                    from_slice_vectors, in_Z, inv_cartier_iter, koszul_nf,
+                    slice_vectors, subsets_of, subspace_basis, tower_nf,
+                    wedge)
 from .linalg import RowSpace
 
 CASE_I = "I"
@@ -434,9 +434,10 @@ def _ac_relation_space(desc, deg, slices):
     #   x^l c_i                          at (gamma, S_i)
     #   a_delta frob^{-1}(x^l c_i)       at (gamma/p + delta, S_i), if p | gamma
     # for each term a_delta t^delta of a (C drops z when p does not divide
-    # gamma).  Codes are summed before their base-p digits are laid out, at
-    # column (slice * nsub + i) * f + digit, since gamma/p + delta can be
-    # gamma itself.
+    # gamma; z is closed, as koszul_slice checks when it memoizes the rows).
+    # Codes are summed before their base-p digits are laid out, at column
+    # (slice * nsub + i) * f + digit, since gamma/p + delta can be gamma
+    # itself.
     params = desc.params
     kctx = params.kctx
     fq = kctx.fq
@@ -444,8 +445,6 @@ def _ac_relation_space(desc, deg, slices):
     nsub = len(subsets_of(params.r, deg))
     slice_pos = {g: i for i, g in enumerate(slices)}
     space = RowSpace(params.fp)
-    if nsub == 0:
-        return space, nsub, slice_pos
     shifts = sorted(params.a.terms.items())
     powers = [p ** l for l in range(f)]
     for gamma in slices:
@@ -454,9 +453,7 @@ def _ac_relation_space(desc, deg, slices):
             continue
         base = slice_pos[gamma] * nsub
         targets = []
-        if any(x % p for x in gamma):
-            _check_closed(kctx, gamma, deg, basis)
-        else:
+        if not any(x % p for x in gamma):
             for delta, a_code in shifts:
                 pos = slice_pos.get(tuple(x // p + dx for x, dx in zip(gamma, delta)))
                 if pos is None:
@@ -475,15 +472,6 @@ def _ac_relation_space(desc, deg, slices):
                             acc[k] = fq.add(acc.get(k, 0), fq.mul(a_code, root))
                 space.add(_digit_vec(acc, p, f))
     return space, nsub, slice_pos
-
-
-def _check_closed(kctx, beta, deg, rows):
-    """Raise NotClosed unless d kills every row of the degree-deg slice at
-    beta (d of an r-form is 0); C is defined only on closed forms."""
-    if deg < kctx.r:
-        for row in rows:
-            if koszul_apply(kctx, beta, deg + 1, row):
-                raise NotClosed("the Cartier operator is only defined on closed forms")
 
 
 def _digit_vec(acc, p, f):
@@ -541,14 +529,16 @@ def is_zero(el):
 
 def _slice_fp_dim(desc, beta):
     """GF(p)-dimension of the slice-diagonal quotient pair at degree beta: the
-    tower rows of both slots, and C(r, q-2) theta rows (_theta_relation_space)."""
+    tower rows of both slots, and C(r, q-2) theta rows (_theta_relation_space).
+    With (kind, level) = desc.tower it reads beta only through whether p^level
+    divides it: if not, a slot's tower rows are the C(r-1, deg-1) of a Koszul
+    image; if so, they are all C(r, deg) (Z) or none (B), and theta rows count.
+    """
     params = desc.params
     kind, level = desc.tower
     free = 0
     for deg in (params.q - 1, params.q - 2):
         rows = subspace_basis(params.kctx, beta, deg, kind, level)
-        if desc.branch == "ac" and any(x % params.p for x in beta):
-            _check_closed(params.kctx, beta, deg, rows)
         free += len(subsets_of(params.r, deg)) - len(rows)
     if desc.branch == "theta" and not any(x % params.p ** level for x in beta):
         free -= len(subsets_of(params.r, params.q - 2))
@@ -587,8 +577,6 @@ def _ac_closure_entries(desc):
     entries = dict.fromkeys(reach, 0)
     for deg in (params.q - 1, params.q - 2):
         space, nsub, _ = _ac_relation_space(desc, deg, reach)
-        if not nsub:
-            continue
         for gamma in reach:
             entries[gamma] += f * nsub
         for piv in space.rows:
@@ -611,38 +599,36 @@ def graded_order(desc, radius=DEFAULT_TABLE_RADIUS):
     """Exact group order (r = 0) or a per-degree GF(p)-dimension table (r >= 1).
 
     Every slice of a nonzero branch first gets its class entry: the
-    slice-diagonal quotient of _slice_fp_dim, which depends on beta only
-    through a residue class, so it is computed once per class and copied to
-    the rest of the box.  For 'theta' the class is beta mod p^{s+1}: B_s at
-    beta reads beta mod p^s, and the theta rows read whether p^s divides
-    beta and alpha = beta/p^s mod p.  For 'zmod' and 'ac' it is beta mod
-    p^{z_level}.  Case II then assigns the exact entries on the closure of
-    the slices whose (1+aC) rows trail in the contraction ball
-    (_ac_closure_entries).  So a table costs one slice count per class,
-    plus one elimination of that closure, however large radius is.
+    slice-diagonal quotient of _slice_fp_dim, which reads beta only through
+    whether p^level divides it, level = desc.tower[1] (s for 'theta',
+    z_level for 'zmod' and 'ac').  So the box is filled from two entries,
+    one off and one on the multiples of p^level; at level 0 every beta is
+    such a multiple.  Case II then assigns the exact entries on the closure
+    of the slices whose (1+aC) rows trail in the contraction ball
+    (_ac_closure_entries).  So a table costs two slice counts plus one
+    elimination of that closure, however large radius is.
     """
     params = desc.params
-    box = _degree_box(params.r, radius)
+    r = params.r
+    box = _degree_box(r, radius)
     if desc.branch == "zero":
         table = dict.fromkeys(box, 0)
     else:
-        level = desc.b_level + 1 if desc.branch == "theta" else desc.z_level
-        mod = params.p ** level
-        residues = [x % mod for x in range(-radius, radius + 1)]
-        dims = {}
-        table = {}
-        # the box is in product order, so its classes are the products of
-        # the coordinates' residues
-        for beta, key in zip(box, itertools.product(residues, repeat=params.r)):
-            dim = dims.get(key)
-            if dim is None:
-                dim = dims[key] = _slice_fp_dim(desc, beta)
-            table[beta] = dim
+        mod = params.p ** desc.tower[1]
+        on = off = _slice_fp_dim(desc, (0,) * r)
+        if mod > 1 and radius and r:
+            # every index prime to p, so the Koszul memo checks the whole
+            # complex d o d = 0 at this slice
+            off = _slice_fp_dim(desc, (1,) * r)
+        table = dict.fromkeys(box, off)
+        if on != off:
+            multiples = range(-(radius // mod) * mod, radius + 1, mod)
+            table.update(dict.fromkeys(itertools.product(multiples, repeat=r), on))
         if desc.branch == "ac":
             for beta, c in _ac_closure_entries(desc).items():
                 if beta in table:
                     table[beta] = c
-    return params.p ** table[()] if params.r == 0 else table
+    return params.p ** table[()] if r == 0 else table
 
 
 # ---------------------------------------------------------------------------

@@ -1,47 +1,48 @@
-"""Sparse reduced-row-echelon bases over GF(p^f).
+"""Sparse row-echelon bases over GF(p^f).
 
 Rows and vectors are dicts mapping integer column indices to nonzero scalar
-codes; all scalar arithmetic goes through an FqContext.  Pivots are chosen
-smallest-column-first, and the basis is kept fully reduced: no row has a
-nonzero entry at another row's pivot.  The basis is therefore the unique
-reduced row echelon form of the span, and `reduce` is a single ascending
-pass: subtracting a row only writes to non-pivot columns, so no entry it
-creates ever needs a second look, and canonical coset representatives are
-deterministic.
-
-To keep full reduction cheap, `add` keeps a column index: each non-pivot
-column maps to the list of pivots whose rows are nonzero there.  A new pivot
-is then eliminated only from the rows the index names for its column, not
-from every row.  Its lists are short (most columns are held by one or two
-rows), and lists cost less memory than sets here.
+codes; all scalar arithmetic goes through an FqContext.  Each row has a 1 at
+its pivot, its smallest column, and pivots are distinct.  Rows are not
+reduced against each other, so a row may be nonzero at a later row's pivot.
+`reduce` clears pivot columns in ascending order through a heap: subtracting
+a row writes only to columns after its pivot, so a cleared column is never
+written again, and the result is the unique representative of the coset
+that is zero at every pivot.  The set of pivots depends only on the span,
+not on the order rows are added.
 """
 
 from __future__ import annotations
+
+import heapq
 
 
 class RowSpace:
     def __init__(self, fq):
         self.fq = fq
         self.rows = {}  # pivot column -> row dict with 1 at the pivot
-        self.holders = {}  # non-pivot column -> pivots of rows nonzero there
 
     def reduce(self, vec):
         """Canonical representative of vec modulo the row space."""
         fq = self.fq
+        rows = self.rows
         out = dict(vec)
-        for col in sorted(out):
+        heap = [col for col in out if col in rows]
+        heapq.heapify(heap)
+        while heap:
+            col = heapq.heappop(heap)
             c = out.get(col, 0)
             if not c:
-                continue
-            row = self.rows.get(col)
-            if row is None:
-                continue
-            for rc, rv in row.items():
-                s = fq.sub(out.get(rc, 0), fq.mul(c, rv))
+                continue  # a column pushed twice, already cleared
+            # the row has a 1 at col, so this also deletes out[col]
+            for rc, rv in rows[col].items():
+                old = out.get(rc, 0)
+                s = fq.sub(old, fq.mul(c, rv))
                 if s:
                     out[rc] = s
+                    if not old and rc in rows:
+                        heapq.heappush(heap, rc)
                 else:
-                    out.pop(rc, None)
+                    del out[rc]
         return out
 
     def add(self, vec):
@@ -52,30 +53,7 @@ class RowSpace:
             return None
         piv = min(rem)
         inv = fq.inv(rem[piv])
-        row = {c: fq.mul(v, inv) for c, v in rem.items()}
-        holders = self.holders
-        # keep the basis fully reduced: eliminate the new pivot from the rows
-        # that hold it.  The other columns of row are non-pivot columns, and
-        # each ends up indexed, since row itself is registered last.
-        for p in holders.pop(piv, ()):
-            other = self.rows[p]
-            c = other.pop(piv)
-            for rc, rv in row.items():
-                if rc == piv:
-                    continue
-                old = other.get(rc, 0)
-                s = fq.sub(old, fq.mul(c, rv))
-                if s:
-                    other[rc] = s
-                    if not old:
-                        holders.setdefault(rc, []).append(p)
-                else:
-                    del other[rc]
-                    holders[rc].remove(p)
-        for rc in row:
-            if rc != piv:
-                holders.setdefault(rc, []).append(piv)
-        self.rows[piv] = row
+        self.rows[piv] = {c: fq.mul(v, inv) for c, v in rem.items()}
         return piv
 
 

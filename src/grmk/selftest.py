@@ -170,14 +170,18 @@ def prop_forms_koszul_exactness(rng, cases):
                 break
         q = rng.randint(0, k.r)
         # independent rank computation straight from the wedge matrices
-        rank_in = rank_of(k.fq, koszul_matrix(k, alpha, q))
+        cols = koszul_matrix(k, alpha, q)
+        rank_in = rank_of(k.fq, cols)
         rank_out = rank_of(k.fq, koszul_matrix(k, alpha, q + 1))
         n = len(subsets_of(k.r, q))
         check(rank_in + rank_out == n,
               f"Koszul complex not exact at alpha={alpha}, q={q}")
-        bdim = len(subspace_basis(k, alpha, q, B_KIND, 1))
-        zdim = len(subspace_basis(k, alpha, q, Z_KIND, 1))
-        check(bdim == zdim == rank_in, "tower slices disagree with the ranks")
+        for kind in (B_KIND, Z_KIND):
+            # the rows span the image: as many as its rank, independent, and
+            # inside the span of the columns
+            rows = subspace_basis(k, alpha, q, kind, 1)
+            check(len(rows) == rank_of(k.fq, rows) == rank_of(k.fq, cols + rows) == rank_in,
+                  f"{kind}_1 rows do not span the Koszul image at alpha={alpha}, q={q}")
 
 
 def prop_forms_nf_membership(rng, cases):

@@ -1,5 +1,6 @@
 """Test-only references, kept out of the package: helpers on the oracle's
-O_K/(pi^N), a monomial d, and the slice-diagonal quotient by elimination.
+O_K/(pi^N), a monomial d, a dense Gauss-Jordan elimination and the
+slice-diagonal quotient by elimination.
 
 These helpers return values for the tests to assert on; they assert nothing
 themselves, since pytest rewrites asserts only in test modules and python -O
@@ -68,6 +69,27 @@ def d_terms(w):
             key = tuple(sorted(subset + (i,))), alpha
             out[key] = fq.add(out.get(key, 0), term)
     return {key: c for key, c in out.items() if c}
+
+
+def gauss_jordan(fq, vectors, ncols):
+    """Reduced row echelon form of sparse vectors over the columns
+    0..ncols-1, eliminated densely, as {pivot: row dict}."""
+    mat = [[v.get(col, 0) for col in range(ncols)] for v in vectors]
+    rref = []
+    for col in range(ncols):
+        src = next((row for row in mat if row[col]), None)
+        if src is None:
+            continue
+        mat.remove(src)
+        inv = fq.inv(src[col])
+        src = [fq.mul(x, inv) for x in src]
+        for other in mat + rref:
+            c = other[col]
+            if c:
+                other[:] = [fq.sub(x, fq.mul(c, y)) for x, y in zip(other, src)]
+        rref.append(src)
+    return {row.index(next(x for x in row if x)):
+            {col: x for col, x in enumerate(row) if x} for row in rref}
 
 
 def slice_quotient(desc, beta):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,11 +8,11 @@ from grmk.ffield import (EXP_LIMIT, ContextMismatch, ExponentOverflow,
 from grmk.forms import (B_KIND, Z_KIND, DiffForm, NotClosed, cartier, d,
                         format_form, from_slice_vectors, in_B, in_Z,
                         inv_cartier, inv_cartier_iter, is_closed,
-                        koszul_matrix, nf_mod, parse_form, slice_vectors,
-                        subsets_of, subspace_basis, wedge)
+                        koszul_matrix, koszul_slice, nf_mod, parse_form,
+                        slice_vectors, subsets_of, subspace_basis, wedge)
 from grmk.linalg import RowSpace, rank_of
 from grmk.selftest import rand_form
-from reference import d_terms
+from reference import d_terms, gauss_jordan
 
 
 FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]
@@ -229,6 +230,21 @@ class TestSubspaceBasis:
                 assert rank_in + rank_out == len(subsets_of(k.r, q))
                 assert len(subspace_basis(k, alpha, q, B_KIND, 1)) == rank_in
                 assert len(subspace_basis(k, alpha, q, Z_KIND, 1)) == rank_in
+
+    @pytest.mark.parametrize("p,f,rmax", [(2, 1, 5), (2, 2, 5), (3, 1, 4),
+                                          (3, 2, 4), (5, 1, 4), (5, 2, 4)])
+    def test_koszul_rows_are_the_rref_of_the_columns(self, p, f, rmax):
+        # the rows koszul_slice reads off the columns, with no elimination,
+        # are the reduced echelon form of the columns' span, in pivot order,
+        # at every alpha mod p (alpha = 0 included) and every degree
+        for r in range(rmax + 1):
+            k = ctx(p, f, r)
+            for alpha in itertools.product(range(p), repeat=r):
+                for q in range(r + 1):
+                    cols, rows, _ = koszul_slice(k, alpha, q)
+                    assert cols == koszul_matrix(k, alpha, q)
+                    rref = gauss_jordan(k.fq, cols, len(subsets_of(r, q)))
+                    assert rows == [rref[piv] for piv in sorted(rref)], (r, alpha, q)
 
     def test_r1_full_slice(self):
         k = ctx(r=1)

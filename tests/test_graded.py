@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from grmk import forms
 from grmk.ffield import KContext, LaurentPoly
 from grmk.forms import (B_KIND, Z_KIND, DiffForm, NotClosed, d, format_form,
                         inv_cartier_iter, nf_mod, parse_form, subsets_of,
@@ -142,6 +143,22 @@ class TestOnePlusAC:
         assert one_plus_ac(P, one).is_zero()
 
 
+def _break_d_squared(monkeypatch, deg):
+    """Double the first entry of each Koszul column into degree deg, for
+    contexts built from now on: over an odd p, d o d is then nonzero at
+    slices with two indices prime to p."""
+    real = forms.koszul_matrix
+
+    def broken(kctx, alpha, q):
+        cols = real(kctx, alpha, q)
+        if q == deg:
+            cols = [{j: kctx.fq.add(v, v) if j == min(col) else v
+                     for j, v in col.items()} for col in cols]
+        return cols
+
+    monkeypatch.setattr(forms, "koszul_matrix", broken)
+
+
 class _RecordingSpace(RowSpace):
     """A RowSpace that keeps a copy of every vector passed to add."""
 
@@ -221,13 +238,14 @@ class TestRelationRows:
                 assert space.added == want and len(want) == f, (p, f, r)
 
     def test_not_closed_row_raises(self, monkeypatch):
-        # t1 is not closed (d t1 = t1 dlog t1), so C, and 1+aC, reject it
-        P = CDVFParams(2, 1, 1, 2, 2, 1, "1")
-        desc = descriptor(P, 4)
-        monkeypatch.setattr("grmk.graded.subspace_basis",
-                            lambda kctx, alpha, q, kind, s: [{0: 1}])
+        # with d o d broken into degree 1, the Z-rows of degree 1 at (1, 1)
+        # are not closed, so C, and 1+aC, reject them: the Koszul memo
+        # raises as the relation space fills it
+        _break_d_squared(monkeypatch, 1)
+        desc = descriptor(CDVFParams(3, 1, 2, 6, 2, 2, "1"), 9)
+        assert desc.branch == "ac"
         with pytest.raises(NotClosed):
-            _ac_relation_space(desc, 0, [(0,), (1,)])
+            _ac_relation_space(desc, 1, [(1, 1), (0, 0)])
 
     def test_escaped_window_raises(self):
         # a = 1 contracts slice (2,) to (1,), which the window lacks
@@ -463,23 +481,24 @@ class TestTablesByClass:
             graded_order(descriptor(P, 4, window_cap=4), 3)
 
     def test_not_closed_row_outside_the_ball_raises(self, monkeypatch):
-        # a = 1 gives the ball {0}, so only the outside slice (1,) can see
-        # that t1 is not closed
-        desc = descriptor(CDVFParams(2, 1, 1, 2, 2, 1, "1"), 4)
+        # a = 1 gives the ball {0}, where the Z-slice is whole and no Koszul
+        # row is built, so only the class entry off p | beta can see that
+        # d o d is broken into degree 1
+        _break_d_squared(monkeypatch, 1)
+        desc = descriptor(CDVFParams(3, 1, 2, 6, 2, 2, "1"), 9)
         assert desc.branch == "ac" and _shift_bound(desc.params) == 0
-        monkeypatch.setattr("grmk.graded.subspace_basis",
-                            lambda kctx, alpha, q, kind, s: [{0: 1}])
         with pytest.raises(NotClosed):
             graded_order(desc, 1)
 
     def test_correction_rows_are_checked_closed(self, monkeypatch):
-        # a = t1^1 at p = 2: the ball is |beta| <= 2, where (0,) trails and
-        # its row reaches the leading slice (1,).  The box of radius 0 is
-        # {(0,)}, so only the correction builds the rows at (1,), and it must
-        # see that t1 is not closed
-        desc = descriptor(CDVFParams(2, 1, 1, 2, 2, 1, "t1^1"), 4)
-        monkeypatch.setattr("grmk.graded.subspace_basis",
-                            lambda kctx, alpha, q, kind, s: [{0: 1}] if q == 0 else [])
+        # a = t1^1*t2^1 at p = 3: the ball is |beta| <= 2, where (0, 0)
+        # trails and its rows reach the leading slice (1, 1).  The box of
+        # radius 0 is {(0, 0)}, whose Z-slice is whole, so only the
+        # correction builds the rows at (1, 1), and it must see that d o d
+        # is broken into degree 1
+        _break_d_squared(monkeypatch, 1)
+        desc = descriptor(CDVFParams(3, 1, 2, 6, 2, 2, "t1^1*t2^1"), 9)
+        assert desc.branch == "ac" and _trailing_closure(desc) == {(0, 0), (1, 1)}
         with pytest.raises(NotClosed):
             graded_order(desc, 0)
 
@@ -542,40 +561,45 @@ class TestTablesByClass:
                         seen.add(order)
         assert len(seen) > 1
 
-    @pytest.mark.parametrize("p,e,n,m,level", [(2, 4, 3, 1, 1), (2, 4, 3, 2, 2),
-                                               (2, 4, 3, 4, 3), (3, 6, 2, 3, 2),
-                                               (2, 2, 1, 2, 1), (3, 6, 1, 6, 1),
-                                               (2, 4, 3, 8, 2), (2, 4, 3, 16, 1),
-                                               (3, 6, 2, 9, 1), (3, 18, 3, 27, 2)])
-    def test_case_i_slices_once_per_class(self, monkeypatch, p, e, n, m, level):
-        # a theta slice reads beta mod p^{s+1}, a zmod or ac slice beta mod
-        # p^{z_level}: a stand-in slice that returns an integer code of its
-        # own class must be called once per class of the whole box, the
-        # Case II ball included, and come back at every beta off the closure
-        # of the Case II trailing slices; on the closure the entry is the
-        # exact one
+    @pytest.mark.parametrize("p,e,n,m,radius", [(2, 4, 3, 1, 1), (2, 4, 3, 2, 2),
+                                                (2, 4, 3, 4, 3), (3, 6, 2, 3, 2),
+                                                (2, 2, 1, 2, 1), (3, 6, 1, 6, 1),
+                                                (2, 4, 3, 8, 2), (2, 4, 3, 16, 1),
+                                                (3, 6, 2, 9, 1), (3, 18, 3, 27, 2)])
+    def test_case_i_slices_once_per_class(self, monkeypatch, p, e, n, m, radius):
+        # an entry reads beta only through whether p^level divides it, with
+        # level = desc.tower[1] (s for theta, z_level for zmod and ac): a
+        # stand-in slice that returns 2 on the multiples of p^level and 1
+        # elsewhere must be called at most twice per table, once per class,
+        # and come back at every beta off the closure of the Case II
+        # trailing slices; on the closure the entry is the exact one.  The
+        # tables are taken at the given radius and at radius 4, so the
+        # multiples of p^level reach past 0 and the box edge
         desc = descriptor(CDVFParams(p, 1, 2, e, n, 2, "t1^1+t2^-1"), m)
-        assert level == (desc.b_level + 1 if desc.branch == "theta" else desc.z_level)
+        mod = p ** desc.tower[1]
         closure = _ac_closure_entries(desc) if desc.branch == "ac" else {}
         assert bool(closure) == (desc.branch == "ac")
-        want = _reference_table(desc, 4) if closure else {}
         assert set(closure) == (_trailing_closure(desc) if closure else set())
-        mod = p ** level
+        wants = {rad: _reference_table(desc, rad) if closure else {}
+                 for rad in (radius, 4)}
         calls = []
 
         def code(beta):
-            return sum(x % mod * mod ** k for k, x in enumerate(beta))
+            return 1 + (not any(x % mod for x in beta))
 
         def class_of(desc, beta):
             calls.append(beta)
             return code(beta)
 
         monkeypatch.setattr("grmk.graded._slice_fp_dim", class_of)
-        table = graded_order(desc, 4)
-        assert sorted(map(code, calls)) == sorted({code(beta) for beta in table})
-        assert all(table[beta] == (want[beta] if beta in closure else code(beta))
-                   for beta in table)
-        assert set(closure) <= set(table)
+        for rad, want in wants.items():
+            calls.clear()
+            table = graded_order(desc, rad)
+            assert len(calls) <= 2 and len({code(beta) for beta in calls}) == len(calls)
+            assert set(map(code, calls)) == set(map(code, table))
+            assert all(table[beta] == (want[beta] if beta in closure else code(beta))
+                       for beta in table)
+        assert set(closure) <= set(_degree_box(2, 4))
 
 
 class TestReduce:

@@ -1,4 +1,4 @@
-"""RowSpace against a dense Gauss-Jordan reference written here."""
+"""RowSpace against the dense Gauss-Jordan reference of tests/reference.py."""
 
 import random
 
@@ -6,45 +6,9 @@ import pytest
 
 from grmk.ffield import FqContext
 from grmk.linalg import RowSpace, rank_of
+from reference import gauss_jordan
 
 NCOLS = 10
-
-
-def dense(vec):
-    out = [0] * NCOLS
-    for col, c in vec.items():
-        out[col] = c
-    return out
-
-
-def gauss_jordan(fq, vectors):
-    """Reduced row echelon form of the dense vectors, as {pivot: row dict}."""
-    mat = [dense(v) for v in vectors]
-    rref = []
-    for col in range(NCOLS):
-        src = next((row for row in mat if row[col]), None)
-        if src is None:
-            continue
-        mat.remove(src)
-        inv = fq.inv(src[col])
-        src = [fq.mul(x, inv) for x in src]
-        for other in mat + rref:
-            c = other[col]
-            if c:
-                other[:] = [fq.sub(x, fq.mul(c, y)) for x, y in zip(other, src)]
-        rref.append(src)
-    return {row.index(next(x for x in row if x)):
-            {col: x for col, x in enumerate(row) if x} for row in rref}
-
-
-def transpose_off_pivot(rows):
-    """Non-pivot column -> sorted pivots of the rows that are nonzero there."""
-    index = {}
-    for piv, row in rows.items():
-        for col in row:
-            if col not in rows:
-                index.setdefault(col, []).append(piv)
-    return {col: sorted(pivs) for col, pivs in index.items()}
 
 
 def random_vec(rng, fq, vectors):
@@ -64,19 +28,22 @@ def random_vec(rng, fq, vectors):
 
 
 def check_space(fq, space, vectors):
-    ref = gauss_jordan(fq, vectors)
-    assert space.rows == ref
-    assert {col: sorted(pivs) for col, pivs in space.holders.items()} \
-        == transpose_off_pivot(ref)
+    """The pivots are those of the reference RREF, and each row has a 1 at
+    its smallest column."""
+    assert set(space.rows) == set(gauss_jordan(fq, vectors, NCOLS))
+    for piv, row in space.rows.items():
+        assert min(row) == piv and row[piv] == 1 and all(row.values())
 
 
 def check_reduce(fq, space, vectors, vec):
-    rep = space.reduce(vec)
-    assert all(rep.values())
-    assert not set(rep) & set(space.rows)
-    diff = {col: fq.sub(vec.get(col, 0), rep.get(col, 0)) for col in range(NCOLS)}
-    diff = {col: x for col, x in diff.items() if x}
-    assert len(gauss_jordan(fq, vectors + [diff])) == len(gauss_jordan(fq, vectors))
+    """reduce equals reduction by the reference RREF, which is zero at its
+    pivots: vec less vec[piv] times the row at piv, for every pivot."""
+    want = dict(vec)
+    for piv, row in gauss_jordan(fq, vectors, NCOLS).items():
+        c = vec.get(piv, 0)
+        for col, x in row.items():
+            want[col] = fq.sub(want.get(col, 0), fq.mul(c, x))
+    assert space.reduce(vec) == {col: x for col, x in want.items() if x}
 
 
 FIELDS = [(2, 1), (2, 2), (3, 1), (3, 2)]
@@ -91,25 +58,24 @@ def test_add_keeps_reference_rref_and_index(p, f, seed):
     vectors = []
     for _ in range(25):
         vec = random_vec(rng, fq, vectors)
-        before = gauss_jordan(fq, vectors)
+        before = gauss_jordan(fq, vectors, NCOLS)
         piv = space.add(vec)
         vectors.append(vec)
-        new = set(gauss_jordan(fq, vectors)) - set(before)
+        new = set(gauss_jordan(fq, vectors, NCOLS)) - set(before)
         assert (piv is None) if not new else ({piv} == new)
         check_space(fq, space, vectors)
         check_reduce(fq, space, vectors, random_vec(rng, fq, vectors))
-    assert len(space.rows) == rank_of(fq, vectors) == len(gauss_jordan(fq, vectors))
+    assert len(space.rows) == rank_of(fq, vectors) == len(gauss_jordan(fq, vectors, NCOLS))
 
 
-def test_index_follows_vanishing_entries():
-    # over GF(2): the pivot 2 of the third row cancels column 3 of row 0 and
-    # writes column 3 into row 1; the fourth row then empties the index
-    fq = FqContext(2)
+def test_reduce_clears_a_pivot_that_fills_in():
+    # over GF(3): the vector is zero at pivot 1 until the row at pivot 0
+    # writes there, and the row at 1 then writes pivot 2
+    fq = FqContext(3)
     space = RowSpace(fq)
-    for vec in ({0: 1, 2: 1, 3: 1}, {1: 1, 2: 1}, {2: 1, 3: 1}):
+    for vec in ({0: 1, 1: 1}, {1: 1, 2: 2}, {2: 1, 3: 1}):
         space.add(vec)
-    assert space.rows == {0: {0: 1}, 1: {1: 1, 3: 1}, 2: {2: 1, 3: 1}}
-    assert space.holders == {3: [1, 2]}
-    assert space.add({3: 1}) == 3
-    assert space.holders == {}
-    assert space.rows == {c: {c: 1} for c in range(4)}
+    assert space.rows == {0: {0: 1, 1: 1}, 1: {1: 1, 2: 2}, 2: {2: 1, 3: 1}}
+    # {0: 1} - row0 = {1: 2}; - 2 row1 = {2: 2}; - 2 row2 = {3: 1}
+    assert space.reduce({0: 1}) == {3: 1}
+    assert space.reduce({0: 1, 3: 2}) == {}

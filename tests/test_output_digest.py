@@ -17,7 +17,7 @@ from grmk.forms import (B_KIND, Z_KIND, DiffForm, cartier, d, format_form,
                         wedge)
 from grmk.graded import CDVFParams, GrElement, descriptor, graded_order, reduce
 
-DIGEST = "d0f60902fb0a5cbef1289f550af618a8151188d33a5b963314f39f2ffd2cf9e5"
+DIGEST = "20facd1dd52b8ea28b5698ecead18f1e20bae2d359eb17e649dac465be906638"
 
 FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]
 # (p, f, r, e, n, q, a) with p^(n-1)(p-1) | e
@@ -51,7 +51,8 @@ def _form_lines(rng):
         yield format_form(cartier(inv_cartier(w)))
         alpha = tuple(rng.choice([0, 1, -1, 2, 3, 4, 6, 9]) for _ in range(kctx.r))
         for kind in (B_KIND, Z_KIND):
-            yield repr(subspace_basis(kctx, alpha, q, kind, s))
+            yield repr([sorted(row.items())
+                        for row in subspace_basis(kctx, alpha, q, kind, s)])
 
 
 def _graded_lines(rng):
