@@ -372,6 +372,13 @@ def _shift_bound(params):
     return math.ceil(params.p * amax / (params.p - 1))
 
 
+def _slice_key(gamma):
+    """Sort key of the expansion-dominant order: larger sup-norm degrees
+    come first, so every relation generator pivots on the degree of its
+    tower part."""
+    return -max((abs(x) for x in gamma), default=0), gamma
+
+
 def _ac_closure(params, seeds, cap):
     """The seeds and every slice they reach under gamma -> gamma/p + delta,
     for the terms t^delta of a, in expansion-dominant order."""
@@ -392,9 +399,7 @@ def _ac_closure(params, seeds, cap):
             if nxt not in window:
                 window.add(nxt)
                 queue.append(nxt)
-    # expansion-dominant order: larger sup-norm degrees come first, so every
-    # relation generator pivots on the degree of its tower part
-    return sorted(window, key=lambda g: (-max((abs(x) for x in g), default=0), g))
+    return sorted(window, key=_slice_key)
 
 
 def _ac_window(params, seed_slices, cap):
@@ -549,7 +554,7 @@ def _ac_closure_entries(desc):
     """Exact Case II entries, summed over both form degrees, on the closure
     of the slices whose (1+aC) rows trail in the contraction ball.
 
-    In the expansion-dominant order of the ball (_ac_window) a slice gamma
+    In the expansion-dominant order of the ball (_slice_key) a slice gamma
     trails when p | gamma and some image gamma/p + delta sits at or before
     gamma.  Every other slice's (1+aC) rows lead at that slice: a Z-row has
     a 1 at its smallest column and x^l has the code p^l, so each row has its
@@ -563,17 +568,26 @@ def _ac_closure_entries(desc):
     beta, summed over deg = q-1, q-2.  Outside the ball every slice leads,
     since its images have a smaller sup-norm, so the class entry is exact
     there.
+
+    The ball |gamma|_inf <= R = _shift_bound is closed under the
+    contraction, so the trailing slices are its multiples of p with an
+    image whose sort key is at most their own, and the cap is compared
+    with the ball size (2R+1)^r; no window is built.
     """
     params = desc.params
-    p, f = params.p, params.f
-    ball = _ac_window(params, (), desc.window_cap)
-    slice_pos = {g: i for i, g in enumerate(ball)}
-    trailing = [
-        gamma for pos, gamma in enumerate(ball)
-        if not any(x % p for x in gamma)
-        and min(slice_pos[tuple(x // p + dx for x, dx in zip(gamma, delta))]
-                for delta in params.a.terms) <= pos]
-    reach = _ac_closure(params, trailing, desc.window_cap)
+    p, f, r = params.p, params.f, params.r
+    radius = _shift_bound(params)
+    cap = desc.window_cap
+    if (2 * radius + 1) ** r > cap:
+        raise WindowOverflow(f"degree window exceeded the configured cap {cap}")
+    multiples = range(-(radius // p) * p, radius + 1, p)
+    trailing = []
+    for gamma in itertools.product(multiples, repeat=r):
+        key = _slice_key(gamma)
+        if any(_slice_key(tuple(x // p + dx for x, dx in zip(gamma, delta))) <= key
+               for delta in params.a.terms):
+            trailing.append(gamma)
+    reach = _ac_closure(params, trailing, cap)
     entries = dict.fromkeys(reach, 0)
     for deg in (params.q - 1, params.q - 2):
         space, nsub, _ = _ac_relation_space(desc, deg, reach)
@@ -604,9 +618,11 @@ def graded_order(desc, radius=DEFAULT_TABLE_RADIUS):
     z_level for 'zmod' and 'ac').  So the box is filled from two entries,
     one off and one on the multiples of p^level; at level 0 every beta is
     such a multiple.  Case II then assigns the exact entries on the closure
-    of the slices whose (1+aC) rows trail in the contraction ball
-    (_ac_closure_entries).  So a table costs two slice counts plus one
-    elimination of that closure, however large radius is.
+    of the slices whose (1+aC) rows trail in the contraction ball, which it
+    finds among the ball's multiples of p (_ac_closure_entries).  So a table
+    costs two slice counts plus one elimination of that closure, however
+    large radius is.  The table's keys are exactly _degree_box(r, radius),
+    which reports.render_descriptor prints in that box's order.
     """
     params = desc.params
     r = params.r

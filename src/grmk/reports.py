@@ -5,6 +5,8 @@ all orderings are deterministic so equal inputs give byte-identical output.
 
 from __future__ import annotations
 
+import itertools
+
 from .forms import format_form
 
 HEADER = "format: grmk.v1"
@@ -52,19 +54,36 @@ def render_params(params):
 
 
 def render_descriptor(desc, order_or_table):
+    """The `gr` report: `order:` when r = 0, else one `dim[...]` row per
+    degree.  The table must be keyed by exactly the degree box
+    |beta|_inf <= radius (graded._degree_box), as graded.graded_order
+    returns it; its rows are printed in the box's ascending product order,
+    and the radius is read off the table's size.  A table of another size,
+    or one missing a box key, raises."""
     lines = [HEADER, "report: gr"]
     lines += render_params(desc.params)
     lines += _case_lines(desc)
     lines.append(f"branch: {desc.branch}")
     lines.append(f"presentation: {_presentation(desc)}")
-    if desc.params.r == 0:
+    r = desc.params.r
+    if r == 0:
         lines.append(f"order: {order_or_table}")
-    else:
-        lines.append("dim_units: GF(p)")
-        # one pattern per table: r coordinates, then the entry
-        row = "dim[" + ",".join(["%d"] * desc.params.r) + "]: %d"
-        table = order_or_table
-        lines += [row % (*beta, table[beta]) for beta in sorted(table)]
+        return lines
+    table = order_or_table
+    side = round(len(table) ** (1 / r))
+    coords = range(-(side // 2), side // 2 + 1)
+    if len(coords) ** r != len(table):
+        raise ValueError(f"a table of {len(table)} entries is no degree box in {r} variables")
+    names = [str(x) for x in coords]
+    # the last coordinate varies fastest: each prefix dim[c1,...,c_{r-1},
+    # heads a run of len(coords) consecutive box degrees
+    prefixes = ["dim[" + "".join(t) for t in itertools.product(
+        [name + "," for name in names], repeat=r - 1)]
+    lasts = [name + "]: " for name in names]
+    box = itertools.product(coords, repeat=r)
+    lines.append("dim_units: GF(p)")
+    lines += [prefix + last + str(table[beta])
+              for prefix in prefixes for last, beta in zip(lasts, box)]
     return lines
 
 

@@ -1,6 +1,6 @@
 """Test-only references, kept out of the package: helpers on the oracle's
-O_K/(pi^N), a monomial d, a dense Gauss-Jordan elimination and the
-slice-diagonal quotient by elimination.
+O_K/(pi^N), a monomial d, a dense Gauss-Jordan elimination, the
+slice-diagonal quotient by elimination and the `dim[...]` rows by pattern.
 
 These helpers return values for the tests to assert on; they assert nothing
 themselves, since pytest rewrites asserts only in test modules and python -O
@@ -128,3 +128,10 @@ def slice_quotient(desc, beta):
             vec.update((cols[u], c) for (u, g), c in form.terms.items() if g == beta)
         space.add(vec)
     return space
+
+
+def dim_rows(table, r):
+    """The `dim[...]` rows of a gr report for any table keyed by r-tuples:
+    one `%` pattern per table, filled row by row in sorted key order."""
+    row = "dim[" + ",".join(["%d"] * r) + "]: %d"
+    return [row % (*beta, table[beta]) for beta in sorted(table)]

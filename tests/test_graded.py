@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from grmk import forms
+from grmk import cli, forms
 from grmk.ffield import KContext, LaurentPoly
 from grmk.forms import (B_KIND, Z_KIND, DiffForm, NotClosed, d, format_form,
                         inv_cartier_iter, nf_mod, parse_form, subsets_of,
@@ -11,7 +11,7 @@ from grmk.forms import (B_KIND, Z_KIND, DiffForm, NotClosed, d, format_form,
 from grmk.graded import (CASE_I, CASE_II, CASE_III, OUT_OF_RANGE, PRIME,
                          CDVFParams, CoefficientNotIntegral, MalformedSymbol,
                          OutOfRangeLevel, PreconditionViolated, SymbolExpr,
-                         WindowOverflow, _ac_closure_entries,
+                         WindowOverflow, _ac_closure, _ac_closure_entries,
                          _ac_relation_space, _ac_window, _degree_box,
                          _flatten_form, _shift_bound, _slice_fp_dim,
                          _theta_relation_space,
@@ -21,9 +21,9 @@ from grmk.graded import (CASE_I, CASE_II, CASE_III, OUT_OF_RANGE, PRIME,
                          one_plus_ac, parse_symbol, reduce, symbol_to_forms,
                          theta, vp)
 from grmk.linalg import RowSpace
-from grmk.reports import render_consistency
+from grmk.reports import render_consistency, render_descriptor
 from grmk.selftest import rand_form
-from reference import slice_quotient
+from reference import dim_rows, slice_quotient
 
 
 def params_q2i(q=1, r=0):
@@ -435,14 +435,11 @@ class TestTablesByClass:
     # must equal the reference's entry for entry
 
     def test_tables_match_reference(self, monkeypatch):
-        ball_sizes = []
+        def no_window(params, seeds, cap):
+            raise AssertionError("a table built a degree window")
 
-        def recording_window(params, seeds, cap):
-            window = _ac_window(params, seeds, cap)
-            ball_sizes.append((len(window), (2 * _shift_bound(params) + 1) ** params.r))
-            return window
-
-        monkeypatch.setattr("grmk.graded._ac_window", recording_window)
+        # tables build no window; the reference binds _ac_window at import
+        monkeypatch.setattr("grmk.graded._ac_window", no_window)
         seen = set()
         for p, f, e, n in _TABLE_FIELDS:
             for r in (0, 1, 2, 3):
@@ -454,16 +451,16 @@ class TestTablesByClass:
                         P = CDVFParams(p, f, r, e, n, q, a)
                         desc = descriptor(P, m)
                         R = _shift_bound(P)
+                        # the ball is closed under the contraction, so the
+                        # cap is checked against its size alone
+                        ball = _degree_box(r, R)
+                        assert set(_ac_closure(P, ball, desc.window_cap)) == set(ball), P
                         for radius in (0, 1, 2, 3):
                             got = graded_order(desc, radius)
                             want = _reference_table(desc, radius)
                             assert got == want, (P, m, radius)
                             where = "inside" if radius < R else "on" if radius == R else "past"
                             seen.add((desc.branch, desc.b_level, where, f, r))
-        # the ball is closed under the contraction, and graded_order asks
-        # for no window but the ball
-        assert all(size == ball for size, ball in ball_sizes)
-        assert ball_sizes
         branches = {(b, s) for b, s, *_ in seen}
         assert {("theta", 0), ("theta", 1), ("theta", 2), ("zmod", None),
                 ("ac", None), ("zero", None)} <= branches
@@ -472,13 +469,60 @@ class TestTablesByClass:
                 assert {w for b, _, w, f2, r2 in seen if b == "ac" and (f2, r2) == (f, r)} \
                     == {"inside", "on", "past"}, (f, r)
 
-    def test_window_cap_bounds_only_the_ball(self):
-        # a = t1^1 at p = 2 has the ball |beta| <= 2 of 5 slices; the box of
-        # radius 3 has 7
-        P = CDVFParams(2, 1, 1, 2, 2, 1, "t1^1")
-        assert len(graded_order(descriptor(P, 4, window_cap=5), 3)) == 7
-        with pytest.raises(WindowOverflow):
-            graded_order(descriptor(P, 4, window_cap=4), 3)
+    def test_window_cap_bounds_only_the_ball(self, capsys):
+        # a = t1^1 at p = 2 has the ball |beta| <= 2 of 5^r slices; the box
+        # of radius 3 has 7^r.  m = 4 and 6 are the Case II levels c1, c2,
+        # so shift-check at m = 6 builds two Case II tables
+        for r in (1, 2, 3):
+            P = CDVFParams(2, 1, r, 2, 2, 1, "t1^1")
+            ball = 5 ** r
+            assert (2 * _shift_bound(P) + 1) ** r == ball
+            argv = ["--p", "2", "--r", str(r), "--e", "2", "--n", "2", "--q", "1",
+                    "--a", "t1^1", "--deg-window", "3"]
+            assert len(graded_order(descriptor(P, 4, window_cap=ball), 3)) == 7 ** r
+            assert cli.main(["gr", *argv, "--m", "4", "--window-cap", str(ball)]) == 0
+            assert cli.main(["shift-check", *argv, "--m", "6",
+                             "--window-cap", str(ball)]) == 0
+            assert capsys.readouterr().err == ""
+            message = f"degree window exceeded the configured cap {ball - 1}"
+            with pytest.raises(WindowOverflow) as exc:
+                graded_order(descriptor(P, 4, window_cap=ball - 1), 3)
+            assert type(exc.value) is WindowOverflow and str(exc.value) == message
+            for command, m in (("gr", "4"), ("shift-check", "6")):
+                code = cli.main([command, *argv, "--m", m, "--window-cap", str(ball - 1)])
+                assert (code, *capsys.readouterr()) == (1, "", f"error: {message}\n"), r
+
+    def test_trailing_slices_match_ball_positions(self, monkeypatch):
+        # _ac_closure_entries finds the trailing slices among the ball's
+        # multiples of p by sort key; the reference compares positions in
+        # the sorted ball.  The set depends on p, r and a alone, so the
+        # table contexts are taken at q = 2, plus the gr-sweep contexts
+        seeds = []
+
+        def recording_closure(params, slices, cap):
+            slices = list(slices)
+            seeds.append(set(slices))
+            return _ac_closure(params, slices, cap)
+
+        monkeypatch.setattr("grmk.graded._ac_closure", recording_closure)
+        descs = []
+        for p, f, e, n in _TABLE_FIELDS:
+            for r in (0, 1, 2, 3):
+                for a in _table_as(p, f, r):
+                    P = CDVFParams(p, f, r, e, n, 2, a)
+                    descs += [descriptor(P, P.threshold(i)) for i in range(1, n + 1)]
+        for p, f, r, e, n, q, a in [(2, 1, 4, 4, 2, 3, "t1^1"), (3, 1, 3, 6, 2, 2, "t1^1"),
+                                    (2, 2, 3, 4, 2, 3, "g^1*t1^1")]:
+            P = CDVFParams(p, f, r, e, n, q, a)
+            descs += [descriptor(P, P.threshold(i)) for i in range(1, n + 1)]
+        for desc in descs:
+            assert desc.branch == "ac", desc.params
+            # the reference builds the ball through _ac_closure too
+            want = set(_trailing_slices(desc))
+            seeds.clear()
+            entries = _ac_closure_entries(desc)
+            assert seeds == [want], (desc.params, desc.m)
+            assert set(entries) == _trailing_closure(desc), (desc.params, desc.m)
 
     def test_not_closed_row_outside_the_ball_raises(self, monkeypatch):
         # a = 1 gives the ball {0}, where the Z-slice is whole and no Koszul
@@ -600,6 +644,55 @@ class TestTablesByClass:
             assert all(table[beta] == (want[beta] if beta in closure else code(beta))
                        for beta in table)
         assert set(closure) <= set(_degree_box(2, 4))
+
+
+class TestDimRows:
+    # render_descriptor prints a table keyed by exactly a degree box in the
+    # box's order; the reference fills one % pattern per row in sorted order
+
+    @staticmethod
+    def _rows(desc, table):
+        lines = render_descriptor(desc, table)
+        return lines[lines.index("dim_units: GF(p)") + 1:]
+
+    def test_tables_match_the_pattern_rows(self):
+        widest = 0
+        for p, f, e, n, a in [(2, 1, 4, 2, "t1^1"), (3, 1, 6, 2, "1+t1^-1"),
+                              (2, 2, 4, 2, "g^1*t1^1")]:
+            for r in (1, 2, 3, 4):
+                for q in (1, 2, 3):
+                    P = CDVFParams(p, f, r, e, n, q, a)
+                    for m in range(1, P.threshold(n) + 2):
+                        desc = descriptor(P, m)
+                        for radius in (0, 1, 2, 3):
+                            table = graded_order(desc, radius)
+                            assert self._rows(desc, table) == dim_rows(table, r), (P, m)
+                            widest = max(widest, *table.values())
+        # f = 2 gives two-digit entries (up to 12 on these contexts)
+        assert widest >= 10
+
+    def test_two_digit_coordinates_and_entries(self):
+        for r, radii in ((1, (10, 11, 12)), (2, (10, 11, 12))):
+            desc = descriptor(CDVFParams(2, 1, r, 2, 2, 1, "t1^1"), 4)
+            for radius in radii:
+                table = graded_order(desc, radius)
+                assert self._rows(desc, table) == dim_rows(table, r), (r, radius)
+                wide = {beta: 7 * i for i, beta in enumerate(_degree_box(r, radius))}
+                assert self._rows(desc, wide) == dim_rows(wide, r), (r, radius)
+
+    def test_table_off_the_box_raises(self):
+        for r in (1, 2, 3):
+            desc = descriptor(CDVFParams(2, 1, r, 2, 2, 1, "t1^1"), 4)
+            table = graded_order(desc, 2)
+            missing = dict(table)
+            del missing[(1,) * r]
+            extra = table | {(3,) + (0,) * (r - 1): 1}
+            swapped = dict(missing) | {(3,) + (0,) * (r - 1): 1}
+            # a missing or extra key changes the size; a swapped one is read
+            for bad, error in ((missing, ValueError), (extra, ValueError),
+                               (swapped, KeyError)):
+                with pytest.raises(error):
+                    render_descriptor(desc, bad)
 
 
 class TestReduce:
