@@ -10,7 +10,7 @@ from .forms import (DiffForm, NotClosed, wedge, d, cartier, inv_cartier,
                     subsets_of, B_KIND, Z_KIND)
 from .graded import (CDVFParams, GradedCase, GrDescriptor, GrElement,
                      SymbolExpr, classify, descriptor, theta, one_plus_ac,
-                     reduce, is_zero, graded_order, symbol_to_forms,
+                     reduce, is_zero, graded_order, dim_values, symbol_to_forms,
                      parse_symbol, format_symbol, level_shift_consistency,
                      make_z_tower_element, CASE_I, CASE_II, CASE_III,
                      OUT_OF_RANGE, PRIME, OutOfRangeLevel,

@@ -19,8 +19,8 @@ from .ffield import ExponentOverflow, ParseError
 from .forms import DiffForm, parse_form
 from .graded import (CDVFParams, MalformedSymbol, OutOfRangeLevel,
                      PreconditionViolated, WindowOverflow, descriptor,
-                     graded_order, level_shift_consistency, parse_symbol,
-                     reduce, symbol_to_forms)
+                     dim_values, graded_order, level_shift_consistency,
+                     parse_symbol, reduce, symbol_to_forms)
 
 
 def _add_params_flags(sub):
@@ -42,15 +42,11 @@ def _emit(lines):
     sys.stdout.write("\n".join(lines) + "\n")
 
 
-def _human_or_machine(sub):
-    # both values print the same grmk.v1 report; kept for compatibility
-    sub.add_argument("--format", choices=["text", "machine"], default="text")
-
-
 def cmd_gr(args):
     params = _params_from(args)
     desc = descriptor(params, args.m, window_cap=args.window_cap)
-    result = graded_order(desc, radius=args.deg_window)
+    radius = args.deg_window
+    result = graded_order(desc, radius) if params.r == 0 else dim_values(desc, radius)
     _emit(reports.render_descriptor(desc, result))
     return 0
 
@@ -130,11 +126,8 @@ def build_parser():
     p_gr = sub.add_parser("gr", help="classify a level and print its presentation")
     _add_params_flags(p_gr)
     p_gr.add_argument("--m", type=int, required=True, help="filtration level")
-    p_gr.add_argument("--deg-window", type=int, default=graded.DEFAULT_TABLE_RADIUS,
-                      dest="deg_window")
-    p_gr.add_argument("--window-cap", type=int, default=graded.DEFAULT_WINDOW_CAP,
-                      dest="window_cap")
-    _human_or_machine(p_gr)
+    p_gr.add_argument("--deg-window", type=int, default=graded.DEFAULT_TABLE_RADIUS)
+    p_gr.add_argument("--window-cap", type=int, default=graded.DEFAULT_WINDOW_CAP)
     p_gr.set_defaults(func=cmd_gr)
 
     p_red = sub.add_parser("reduce", help="canonical representative of an element")
@@ -142,16 +135,13 @@ def build_parser():
     p_red.add_argument("--m", type=int, required=True)
     p_red.add_argument("--w1", type=str, required=True, help="degree q-1 form text")
     p_red.add_argument("--w2", type=str, default=None, help="degree q-2 form text")
-    p_red.add_argument("--window-cap", type=int, default=graded.DEFAULT_WINDOW_CAP,
-                       dest="window_cap")
-    _human_or_machine(p_red)
+    p_red.add_argument("--window-cap", type=int, default=graded.DEFAULT_WINDOW_CAP)
     p_red.set_defaults(func=cmd_reduce)
 
     p_sym = sub.add_parser("symbol", help="evaluate a restricted symbol")
     _add_params_flags(p_sym)
     p_sym.add_argument("--symbol", type=str, required=True,
                        help="{1+pi^M*(element); entry; ...} with entries monomials or 'pi'")
-    _human_or_machine(p_sym)
     p_sym.set_defaults(func=cmd_symbol)
 
     p_ver = sub.add_parser(
@@ -160,7 +150,6 @@ def build_parser():
     p_ver.add_argument("--fixture", type=str, required=True)
     p_ver.add_argument("--n", type=int, required=True)
     p_ver.add_argument("--N", type=int, default=None, help="cutoff (default c_n + 3)")
-    _human_or_machine(p_ver)
     p_ver.set_defaults(func=cmd_verify_q1)
 
     p_shift = sub.add_parser("shift-check",
@@ -170,19 +159,18 @@ def build_parser():
     p_shift.add_argument("--probe", action="append", default=[], metavar="W1;W2",
                          help="element (w1, w2) whose zero test must agree at both "
                               "levels; an empty side is 0 (repeatable)")
-    p_shift.add_argument("--deg-window", type=int, default=graded.DEFAULT_TABLE_RADIUS,
-                         dest="deg_window")
-    p_shift.add_argument("--window-cap", type=int, default=graded.DEFAULT_WINDOW_CAP,
-                         dest="window_cap")
-    _human_or_machine(p_shift)
+    p_shift.add_argument("--deg-window", type=int, default=graded.DEFAULT_TABLE_RADIUS)
+    p_shift.add_argument("--window-cap", type=int, default=graded.DEFAULT_WINDOW_CAP)
     p_shift.set_defaults(func=cmd_shift_check)
 
     p_self = sub.add_parser("selftest", help="run the seeded property suites")
     p_self.add_argument("--seed", type=int, default=7)
     p_self.add_argument("--cases", type=int, default=50)
-    _human_or_machine(p_self)
     p_self.set_defaults(func=cmd_selftest)
 
+    # every value prints the same grmk.v1 report; kept for compatibility
+    for command in sub.choices.values():
+        command.add_argument("--format", choices=["text", "machine"], default="text")
     return parser
 
 

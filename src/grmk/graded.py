@@ -609,42 +609,57 @@ def _degree_box(r, radius):
     return list(itertools.product(range(-radius, radius + 1), repeat=r))
 
 
-def graded_order(desc, radius=DEFAULT_TABLE_RADIUS):
-    """Exact group order (r = 0) or a per-degree GF(p)-dimension table (r >= 1).
+def dim_values(desc, radius=DEFAULT_TABLE_RADIUS):
+    """The GF(p)-dimension table of graded_order as one list in the order of
+    _degree_box(r, radius); at r = 0 its one entry is the order's exponent.
 
     Every slice of a nonzero branch first gets its class entry: the
     slice-diagonal quotient of _slice_fp_dim, which reads beta only through
     whether p^level divides it, level = desc.tower[1] (s for 'theta',
-    z_level for 'zmod' and 'ac').  So the box is filled from two entries,
-    one off and one on the multiples of p^level; at level 0 every beta is
-    such a multiple.  Case II then assigns the exact entries on the closure
-    of the slices whose (1+aC) rows trail in the contraction ball, which it
-    finds among the ball's multiples of p (_ac_closure_entries).  So a table
-    costs two slice counts plus one elimination of that closure, however
-    large radius is.  The table's keys are exactly _degree_box(r, radius),
-    which reports.render_descriptor prints in that box's order.
+    z_level for 'zmod' and 'ac').  So the list is filled from two entries,
+    one off and one on the multiples of p^level, set by index; at level 0
+    every beta is such a multiple.  Case II then sets the exact entries on
+    the closure of the slices whose (1+aC) rows trail in the contraction
+    ball (_ac_closure_entries) that fall in the box, by mixed-radix index.
+    So a table costs two slice counts plus one elimination of that closure,
+    however large radius is, and builds no degree tuple outside it.
     """
+    _check_radius(radius)
     params = desc.params
     r = params.r
-    box = _degree_box(r, radius)
+    side = 2 * radius + 1
     if desc.branch == "zero":
-        table = dict.fromkeys(box, 0)
-    else:
-        mod = params.p ** desc.tower[1]
-        on = off = _slice_fp_dim(desc, (0,) * r)
-        if mod > 1 and radius and r:
-            # every index prime to p, so the Koszul memo checks the whole
-            # complex d o d = 0 at this slice
-            off = _slice_fp_dim(desc, (1,) * r)
-        table = dict.fromkeys(box, off)
-        if on != off:
-            multiples = range(-(radius // mod) * mod, radius + 1, mod)
-            table.update(dict.fromkeys(itertools.product(multiples, repeat=r), on))
-        if desc.branch == "ac":
-            for beta, c in _ac_closure_entries(desc).items():
-                if beta in table:
-                    table[beta] = c
-    return params.p ** table[()] if r == 0 else table
+        return [0] * side ** r
+    mod = params.p ** desc.tower[1]
+    on = off = _slice_fp_dim(desc, (0,) * r)
+    if mod > 1 and radius and r:
+        # every index prime to p, so the Koszul memo checks the whole
+        # complex d o d = 0 at this slice
+        off = _slice_fp_dim(desc, (1,) * r)
+    values = [off] * side ** r
+    if on != off:
+        # the box index of each r-tuple of multiples, last coordinate fastest
+        starts = [0]
+        for _ in range(r):
+            starts = [i * side + j for i in starts for j in range(radius % mod, side, mod)]
+        for i in starts:
+            values[i] = on
+    if desc.branch == "ac":
+        for beta, c in _ac_closure_entries(desc).items():
+            if max(map(abs, beta), default=0) <= radius:
+                i = 0
+                for x in beta:
+                    i = i * side + x + radius
+                values[i] = c
+    return values
+
+
+def graded_order(desc, radius=DEFAULT_TABLE_RADIUS):
+    """Exact group order (r = 0) or a per-degree GF(p)-dimension table (r >= 1):
+    the dim_values entries keyed by _degree_box(r, radius), in its order."""
+    values = dim_values(desc, radius)
+    r = desc.params.r
+    return desc.params.p ** values[0] if r == 0 else dict(zip(_degree_box(r, radius), values))
 
 
 # ---------------------------------------------------------------------------
@@ -799,6 +814,9 @@ def _descriptors_shift_match(d_high, d_low):
 
 def level_shift_consistency(params, m, probes=(), radius=DEFAULT_TABLE_RADIUS,
                             window_cap=DEFAULT_WINDOW_CAP):
+    """The ShiftConsistencyReport at (n, m): orders at r = 0, else the two
+    dim_values lists in one comparison, and only if they differ the
+    degrees whose entries differ, in _degree_box order."""
     _check_radius(radius)
     if params.n <= 1:
         raise PreconditionViolated("the level shift needs n > 1")
@@ -818,12 +836,13 @@ def level_shift_consistency(params, m, probes=(), radius=DEFAULT_TABLE_RADIUS,
         report.order_low = graded_order(d_low)
         report.orders_ok = report.order_high == report.order_low
     else:
-        t_high = graded_order(d_high, radius)
-        t_low = graded_order(d_low, radius)
         # same beta on both sides: a theta level here has s < n-i <= v_p(e), so v_p(m-e) = s
-        for beta in sorted(t_high):
-            if t_high[beta] != t_low[beta]:
-                report.dim_mismatches.append((beta, t_high[beta], t_low[beta]))
+        v_high = dim_values(d_high, radius)
+        v_low = dim_values(d_low, radius)
+        if v_high != v_low:
+            report.dim_mismatches = [
+                (beta, hi, lo) for beta, hi, lo in zip(_degree_box(params.r, radius),
+                                                       v_high, v_low) if hi != lo]
     for w1, w2 in probes:
         z_high = is_zero(GrElement(d_high, w1, w2))
         z_low = is_zero(GrElement(d_low, w1, w2))

@@ -41,25 +41,15 @@ def _presentation(desc):
 
 
 def render_params(params):
-    return [
-        f"p: {params.p}",
-        f"f: {params.f}",
-        f"r: {params.r}",
-        f"e: {params.e}",
-        f"e0: {params.e0}",
-        f"n: {params.n}",
-        f"q: {params.q}",
-        f"a: {params.a}",
-    ]
+    return [f"{key}: {getattr(params, key)}" for key in ("p", "f", "r", "e", "e0", "n", "q", "a")]
 
 
-def render_descriptor(desc, order_or_table):
+def render_descriptor(desc, order_or_values):
     """The `gr` report: `order:` when r = 0, else one `dim[...]` row per
-    degree.  The table must be keyed by exactly the degree box
-    |beta|_inf <= radius (graded._degree_box), as graded.graded_order
-    returns it; its rows are printed in the box's ascending product order,
-    and the radius is read off the table's size.  A table of another size,
-    or one missing a box key, raises."""
+    degree.  At r >= 1 it takes the graded.dim_values list, whose entries
+    follow the degree box |beta|_inf <= radius (graded._degree_box) in
+    ascending product order; the radius is read off the list's length, and
+    a list of a length that is no box raises."""
     lines = [HEADER, "report: gr"]
     lines += render_params(desc.params)
     lines += _case_lines(desc)
@@ -67,23 +57,24 @@ def render_descriptor(desc, order_or_table):
     lines.append(f"presentation: {_presentation(desc)}")
     r = desc.params.r
     if r == 0:
-        lines.append(f"order: {order_or_table}")
+        lines.append(f"order: {order_or_values}")
         return lines
-    table = order_or_table
-    side = round(len(table) ** (1 / r))
+    values = order_or_values
+    side = round(len(values) ** (1 / r))
     coords = range(-(side // 2), side // 2 + 1)
-    if len(coords) ** r != len(table):
-        raise ValueError(f"a table of {len(table)} entries is no degree box in {r} variables")
+    if len(coords) ** r != len(values):
+        raise ValueError(f"a list of {len(values)} entries is no degree box in {r} variables")
     names = [str(x) for x in coords]
     # the last coordinate varies fastest: each prefix dim[c1,...,c_{r-1},
-    # heads a run of len(coords) consecutive box degrees
+    # heads a run of len(coords) consecutive entries, which zip draws from
+    # one iterator (lasts first, so no entry is drawn past a run)
     prefixes = ["dim[" + "".join(t) for t in itertools.product(
         [name + "," for name in names], repeat=r - 1)]
     lasts = [name + "]: " for name in names]
-    box = itertools.product(coords, repeat=r)
+    entries = map(str, values)
     lines.append("dim_units: GF(p)")
-    lines += [prefix + last + str(table[beta])
-              for prefix in prefixes for last, beta in zip(lasts, box)]
+    lines += [prefix + last + entry
+              for prefix in prefixes for last, entry in zip(lasts, entries)]
     return lines
 
 

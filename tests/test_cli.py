@@ -304,16 +304,32 @@ class TestShiftCheck:
         assert code == 2 and "error:" in err
 
     def test_dim_mismatch_fails(self, capsys, monkeypatch):
-        # a stand-in table that reads the level n differs between the sides
-        def table(desc, radius=3):
-            return {(b,): desc.params.n for b in (-1, 0, 1)}
+        # a stand-in list that reads the level n differs between the sides
+        def values(desc, radius=3):
+            return [desc.params.n] * (2 * radius + 1) ** desc.params.r
 
-        monkeypatch.setattr("grmk.graded.graded_order", table)
+        monkeypatch.setattr("grmk.graded.dim_values", values)
         code, out, _ = run_cli(capsys, "shift-check", "--p", "2", "--r", "1", "--e", "2",
                                "--n", "2", "--q", "1", "--a", "1", "--m", "5")
         assert code == 1 and "consistent: no" in out
         assert [line for line in out.splitlines() if line.startswith("dim_mismatch[")] == [
-            f"dim_mismatch[{b}]: high=2 low=1" for b in (-1, 0, 1)]
+            f"dim_mismatch[{b}]: high=2 low=1" for b in range(-3, 4)]
+
+    def test_dim_mismatch_rows_in_box_order(self, capsys, monkeypatch):
+        # lists that differ only at the first and the last box position:
+        # the rows come in box order after the whole-list comparison
+        def values(desc, radius=3):
+            out = [0] * (2 * radius + 1) ** desc.params.r
+            out[0] = out[-1] = desc.params.n
+            return out
+
+        monkeypatch.setattr("grmk.graded.dim_values", values)
+        code, out, _ = run_cli(capsys, "shift-check", "--p", "2", "--r", "2", "--e", "2",
+                               "--n", "2", "--q", "1", "--a", "1", "--m", "5",
+                               "--deg-window", "2")
+        assert code == 1 and "consistent: no" in out
+        assert [line for line in out.splitlines() if line.startswith("dim_mismatch[")] == [
+            "dim_mismatch[-2,-2]: high=2 low=1", "dim_mismatch[2,2]: high=2 low=1"]
 
     def test_order_mismatch_fails(self, capsys, monkeypatch):
         monkeypatch.setattr("grmk.graded.graded_order",

@@ -16,7 +16,8 @@ from grmk.graded import (CASE_I, CASE_II, CASE_III, OUT_OF_RANGE, PRIME,
                          _flatten_form, _shift_bound, _slice_fp_dim,
                          _theta_relation_space,
                          classify,
-                         descriptor, format_symbol, graded_order, is_zero,
+                         descriptor, dim_values, format_symbol, graded_order,
+                         is_zero,
                          level_shift_consistency, make_z_tower_element,
                          one_plus_ac, parse_symbol, reduce, symbol_to_forms,
                          theta, vp)
@@ -646,13 +647,56 @@ class TestTablesByClass:
         assert set(closure) <= set(_degree_box(2, 4))
 
 
-class TestDimRows:
-    # render_descriptor prints a table keyed by exactly a degree box in the
-    # box's order; the reference fills one % pattern per row in sorted order
+class TestDimValues:
+    # dim_values is graded_order's table as a list in _degree_box order, and
+    # graded_order's keys are that box in that order
 
     @staticmethod
-    def _rows(desc, table):
-        lines = render_descriptor(desc, table)
+    def _check(desc, radius):
+        values = dim_values(desc, radius)
+        r = desc.params.r
+        if r == 0:
+            assert len(values) == 1 and graded_order(desc, radius) == desc.params.p ** values[0]
+            return
+        table = graded_order(desc, radius)
+        assert list(table) == _degree_box(r, radius), (desc.params, desc.m, radius)
+        assert values == list(table.values()), (desc.params, desc.m, radius)
+
+    def test_every_branch_box_and_residue_degree(self):
+        seen = set()
+        for f in (1, 2):
+            for r in range(5):
+                a = "t1^1" if r else "1"
+                P = CDVFParams(2, f, r, 4, 2, min(r, 2) + 1, a)
+                for m in range(1, P.threshold(2) + 2):
+                    desc = descriptor(P, m)
+                    seen.add(desc.branch)
+                    for radius in range(5):
+                        self._check(desc, radius)
+        assert seen == {"zero", "theta", "zmod", "ac"}
+
+    @pytest.mark.parametrize("p,r,e,n,a,levels", [
+        (2, 3, 4, 3, "t1^-2+t3^1", (8, 12, 16)), (3, 2, 6, 2, "2*t1^2*t2^-1", (9, 15))])
+    def test_closure_past_small_boxes(self, p, r, e, n, a, levels):
+        # the closure of the trailing slices reaches outside the boxes of
+        # radius 0 and 1, whose entries there are dropped
+        P = CDVFParams(p, 1, r, e, n, 2, a)
+        for m in levels:
+            desc = descriptor(P, m)
+            assert desc.branch == "ac"
+            for radius in (0, 1):
+                assert not set(_ac_closure_entries(desc)) <= set(_degree_box(r, radius))
+                self._check(desc, radius)
+                assert graded_order(desc, radius) == _reference_table(desc, radius), (m, radius)
+
+
+class TestDimRows:
+    # render_descriptor prints a dim_values list in the degree box's order;
+    # the reference fills one % pattern per row of the table in sorted order
+
+    @staticmethod
+    def _rows(desc, values):
+        lines = render_descriptor(desc, values)
         return lines[lines.index("dim_units: GF(p)") + 1:]
 
     def test_tables_match_the_pattern_rows(self):
@@ -666,7 +710,8 @@ class TestDimRows:
                         desc = descriptor(P, m)
                         for radius in (0, 1, 2, 3):
                             table = graded_order(desc, radius)
-                            assert self._rows(desc, table) == dim_rows(table, r), (P, m)
+                            rows = self._rows(desc, dim_values(desc, radius))
+                            assert rows == dim_rows(table, r), (P, m)
                             widest = max(widest, *table.values())
         # f = 2 gives two-digit entries (up to 12 on these contexts)
         assert widest >= 10
@@ -676,22 +721,18 @@ class TestDimRows:
             desc = descriptor(CDVFParams(2, 1, r, 2, 2, 1, "t1^1"), 4)
             for radius in radii:
                 table = graded_order(desc, radius)
-                assert self._rows(desc, table) == dim_rows(table, r), (r, radius)
+                rows = self._rows(desc, dim_values(desc, radius))
+                assert rows == dim_rows(table, r), (r, radius)
                 wide = {beta: 7 * i for i, beta in enumerate(_degree_box(r, radius))}
-                assert self._rows(desc, wide) == dim_rows(wide, r), (r, radius)
+                assert self._rows(desc, list(wide.values())) == dim_rows(wide, r), (r, radius)
 
     def test_table_off_the_box_raises(self):
+        # a list one entry short or long, or of an even side, is no box
         for r in (1, 2, 3):
             desc = descriptor(CDVFParams(2, 1, r, 2, 2, 1, "t1^1"), 4)
-            table = graded_order(desc, 2)
-            missing = dict(table)
-            del missing[(1,) * r]
-            extra = table | {(3,) + (0,) * (r - 1): 1}
-            swapped = dict(missing) | {(3,) + (0,) * (r - 1): 1}
-            # a missing or extra key changes the size; a swapped one is read
-            for bad, error in ((missing, ValueError), (extra, ValueError),
-                               (swapped, KeyError)):
-                with pytest.raises(error):
+            values = dim_values(desc, 2)
+            for bad in (values[:-1], values + [1], [1] * 4 ** r):
+                with pytest.raises(ValueError):
                     render_descriptor(desc, bad)
 
 
