@@ -2,8 +2,7 @@
 with an exact p-adic oracle on concrete local fields."""
 
 from .ffield import (FqContext, KContext, LaurentPoly, ContextMismatch,
-                     NotAPthPower, ExponentOverflow, ParseError,
-                     parse_element, format_element)
+                     ExponentOverflow, ParseError, parse_element, format_element)
 from .forms import (DiffForm, NotClosed, wedge, d, cartier, inv_cartier,
                     inv_cartier_iter, in_B, in_Z, is_closed,
                     subspace_basis, nf_mod, parse_form, format_form,

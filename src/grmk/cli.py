@@ -19,7 +19,7 @@ from .ffield import ExponentOverflow, ParseError
 from .forms import DiffForm, parse_form
 from .graded import (CDVFParams, MalformedSymbol, OutOfRangeLevel,
                      PreconditionViolated, WindowOverflow, descriptor,
-                     dim_values, graded_order, level_shift_consistency,
+                     dim_values, level_shift_consistency,
                      parse_symbol, reduce, symbol_to_forms)
 
 
@@ -45,9 +45,7 @@ def _emit(lines):
 def cmd_gr(args):
     params = _params_from(args)
     desc = descriptor(params, args.m, window_cap=args.window_cap)
-    radius = args.deg_window
-    result = graded_order(desc, radius) if params.r == 0 else dim_values(desc, radius)
-    _emit(reports.render_descriptor(desc, result))
+    _emit(reports.render_descriptor(desc, dim_values(desc, args.deg_window)))
     return 0
 
 

@@ -9,6 +9,12 @@ differences and products and a length-q table of negatives, so add, sub,
 mul and neg are one lookup each.  The additive tables work digit-wise mod
 p; the product table comes from exp/log tables of a primitive element,
 through which Frobenius, its inverse and inversion are O(1) lookups too.
+The codes below p are the prime subfield GF(p) in every table.  `modulus`
+checks (p, f) and looks up the stored modulus without building a table.
+
+The Frobenius and the p-th root of k are not kept here: they are C^{-1}
+and C on 0-forms (forms.inv_cartier and forms.cartier of
+DiffForm.from_poly), and a p-th power is a closed 0-form.
 
 Text grammar for k-elements (used by the CLI and test fixtures)::
 
@@ -47,10 +53,6 @@ class ContextMismatch(Exception):
     pass
 
 
-class NotAPthPower(Exception):
-    pass
-
-
 class ExponentOverflow(Exception):
     pass
 
@@ -72,20 +74,27 @@ def _is_prime(n):
     return True
 
 
+def modulus(p, f):
+    """The modulus of GF(p^f), ascending ([0, 1] at f = 1); ValueError unless
+    p is prime, f >= 1 and a modulus is stored for (p, f)."""
+    if not _is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    if f < 1:
+        raise ValueError("f must be >= 1")
+    mod = [0, 1] if f == 1 else DEFAULT_MODULI.get((p, f))
+    if mod is None:
+        raise ValueError(f"no default modulus stored for (p, f) = ({p}, {f})")
+    return mod
+
+
 class FqContext:
     """Arithmetic tables for GF(p^f); elements are integer codes in [0, p^f)."""
 
     def __init__(self, p, f=1):
-        if not _is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
-        if f < 1:
-            raise ValueError("f must be >= 1")
+        self.modulus = modulus(p, f)
         self.p = p
         self.f = f
         self.q = p ** f
-        self.modulus = [0, 1] if f == 1 else DEFAULT_MODULI.get((p, f))
-        if self.modulus is None:
-            raise ValueError(f"no default modulus stored for (p, f) = ({p}, {f})")
         self._build_tables()
 
     # -- raw polynomial arithmetic used only to bootstrap the tables
@@ -238,19 +247,12 @@ class KContext:
 
     def scalar(self, n):
         """Constant polynomial from an integer (reduced into the prime field)."""
-        return self.const(self.fq.from_int(n))
-
-    def const(self, code):
-        if code % self.fq.q == 0:
-            return self.zero()
-        return LaurentPoly(self, {(0,) * self.r: code % self.fq.q})
+        return LaurentPoly(self, {(0,) * self.r: self.fq.from_int(n)})
 
     def monomial(self, alpha, code=1):
         alpha = tuple(alpha)
         if len(alpha) != self.r:
             raise ValueError(f"exponent vector length {len(alpha)} != r = {self.r}")
-        if code == 0:
-            return self.zero()
         return LaurentPoly(self, {alpha: code})
 
     def var(self, i):
@@ -283,7 +285,8 @@ class LaurentPoly:
     """Finite-support map from exponent vectors in Z^r to nonzero GF(p^f) codes.
 
     Canonical form: no stored coefficient is zero; the zero element has empty
-    support.  Values are immutable after construction.
+    support.  The constructor is the one place that drops zero codes.  Values
+    are immutable after construction.
     """
 
     __slots__ = ("ctx", "terms")
@@ -320,11 +323,7 @@ class LaurentPoly:
         fq = self.ctx.fq
         out = dict(self.terms)
         for alpha, c in other.terms.items():
-            s = fq.add(out.get(alpha, 0), c)
-            if s:
-                out[alpha] = s
-            else:
-                out.pop(alpha, None)
+            out[alpha] = fq.add(out.get(alpha, 0), c)
         return LaurentPoly(self.ctx, out)
 
     def __neg__(self):
@@ -341,11 +340,7 @@ class LaurentPoly:
         for a1, c1 in self.terms.items():
             for a2, c2 in other.terms.items():
                 alpha = tuple(x + y for x, y in zip(a1, a2))
-                s = fq.add(out.get(alpha, 0), fq.mul(c1, c2))
-                if s:
-                    out[alpha] = s
-                else:
-                    out.pop(alpha, None)
+                out[alpha] = fq.add(out.get(alpha, 0), fq.mul(c1, c2))
         return LaurentPoly(self.ctx, out)
 
     def __pow__(self, n):
@@ -360,35 +355,6 @@ class LaurentPoly:
             if n:
                 base = base * base
         return result
-
-    def scale(self, code):
-        """Multiply by a GF(p^f) scalar code."""
-        if code == 0:
-            return self.ctx.zero()
-        fq = self.ctx.fq
-        return LaurentPoly(self.ctx, {a: fq.mul(c, code) for a, c in self.terms.items()})
-
-    def frobenius(self):
-        """x -> x^p; exponents scale by p, coefficients pass through Frobenius."""
-        fq = self.ctx.fq
-        p = self.ctx.p
-        return LaurentPoly(self.ctx,
-                           {tuple(p * x for x in a): fq.frob(c) for a, c in self.terms.items()})
-
-    def is_pth_power(self):
-        p = self.ctx.p
-        return all(x % p == 0 for a in self.terms for x in a)
-
-    def pth_root(self):
-        """The unique g with g^p == self; requires componentwise p-divisible exponents."""
-        p = self.ctx.p
-        fq = self.ctx.fq
-        out = {}
-        for alpha, c in self.terms.items():
-            if any(x % p for x in alpha):
-                raise NotAPthPower(f"monomial exponent {alpha} is not divisible by {p}")
-            out[tuple(x // p for x in alpha)] = fq.frob_inv(c)
-        return LaurentPoly(self.ctx, out)
 
     def sorted_terms(self):
         return sorted(self.terms.items())

@@ -39,7 +39,7 @@ import itertools
 import math
 import re
 
-from .ffield import FqContext, KContext, LaurentPoly, parse_element
+from .ffield import KContext, LaurentPoly, parse_element
 from .forms import (B_KIND, Z_KIND, DiffForm, cartier, d, format_form,
                     from_slice_vectors, in_Z, inv_cartier_iter, koszul_nf,
                     slice_vectors, subsets_of, subspace_basis, tower_nf,
@@ -121,8 +121,6 @@ class CDVFParams:
         self.n = n
         self.q = q
         self.a = a
-        # scalars of the Case II relation spaces, which are GF(p)-linear
-        self.fp = kctx.fq if f == 1 else FqContext(p, 1)
 
     @property
     def e0(self):
@@ -135,8 +133,8 @@ class CDVFParams:
     def with_level(self, n):
         """These parameters at modulus exponent n.
 
-        The residue field context (with its Koszul memo), fp and a are
-        shared with self: none of them depends on n.
+        The residue field context (with its Koszul memo) and a are shared
+        with self: neither depends on n.
         """
         _check_level(self.p, self.e, n)
         low = copy.copy(self)
@@ -449,7 +447,9 @@ def _ac_relation_space(desc, deg, slices):
     p, f = params.p, params.f
     nsub = len(subsets_of(params.r, deg))
     slice_pos = {g: i for i, g in enumerate(slices)}
-    space = RowSpace(params.fp)
+    # the rows are base-p digits, codes below p, on which every table of
+    # fq is GF(p) arithmetic
+    space = RowSpace(fq)
     shifts = sorted(params.a.terms.items())
     powers = [p ** l for l in range(f)]
     for gamma in slices:

@@ -39,7 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .ffield import FqContext
+from .ffield import modulus
 
 
 class NotEisenstein(Exception):
@@ -109,7 +109,8 @@ class FieldContext:
     """Exact arithmetic in O_K/(pi^N) for K defined by an Eisenstein polynomial.
 
     O_K = W[pi]/(E(pi)) with W = Z_p[y]/(g(y)), where g is the integer lift
-    of the residue field's modulus, so g = y and W = Z_p when f = 1.  An
+    of the residue field's stored modulus (ffield.modulus; no GF(p^f) tables
+    are built), so g = y and W = Z_p when f = 1.  An
     element is one flat tuple of e*f integers: entry j*f + k holds the
     coefficient of pi^j y^k.  Since a*pi^j lies in pi^N O_K exactly when
     v_p(a) >= (N - j)/e, entry j*f + k is kept modulo p^ceil((N-j)/e), and
@@ -126,7 +127,7 @@ class FieldContext:
         self.poly = poly
         p, f, e = poly.p, poly.f, poly.e
         self.p, self.f, self.e, self.N = p, f, e, N
-        self.fq = FqContext(p, f)
+        g = modulus(p, f)[:-1]
         self._mods = tuple(p ** math.ceil((N - j) / e)
                            for j in range(e) for _ in range(f))
         # a product has pi-degree <= 2e-2 and y-degree <= 2f-2; the
@@ -138,7 +139,6 @@ class FieldContext:
                       for ja in range(e) for ka in range(f)]
         # reduction steps (pos, [(target, coeff)]): y^k with k >= f by g,
         # highest first, then pi^j with j >= e by E, highest first
-        g = self.fq.modulus[:-1]
         steps = [(j * s + k, [(j * s + k - f + t, c) for t, c in enumerate(g) if c])
                  for j in range(2 * e - 1) for k in range(2 * f - 2, f - 1, -1)]
         steps += [(j * s + k, [((j - e + t) * s + k, c)
@@ -378,7 +378,7 @@ def unit_group(ctx, n, cap=DEFAULT_ENUM_CAP):
     size = ctx.p ** (ctx.f * (ctx.N - 1))
     if size > cap:
         raise TooLarge(f"|H| = {size} exceeds the enumeration cap {cap}")
-    codes = range(ctx.fq.q)
+    codes = range(ctx.p ** ctx.f)
     # terms[j-1][code] = [code] * pi^j
     terms = []
     pi = ctx.pi()

@@ -44,26 +44,25 @@ def render_params(params):
     return [f"{key}: {getattr(params, key)}" for key in ("p", "f", "r", "e", "e0", "n", "q", "a")]
 
 
-def render_descriptor(desc, order_or_values):
-    """The `gr` report: `order:` when r = 0, else one `dim[...]` row per
-    degree.  At r >= 1 it takes the graded.dim_values list, whose entries
-    follow the degree box |beta|_inf <= radius (graded._degree_box) in
-    ascending product order; the radius is read off the list's length, and
-    a list of a length that is no box raises."""
+def render_descriptor(desc, values):
+    """The `gr` report from the graded.dim_values list: `order:` when r = 0,
+    from its one entry, the order's exponent; else one `dim[...]` row per
+    degree, its entries following the degree box |beta|_inf <= radius
+    (graded._degree_box) in ascending product order.  The radius is read
+    off the list's length, and a list of a length that is no box raises."""
     lines = [HEADER, "report: gr"]
     lines += render_params(desc.params)
     lines += _case_lines(desc)
     lines.append(f"branch: {desc.branch}")
     lines.append(f"presentation: {_presentation(desc)}")
     r = desc.params.r
-    if r == 0:
-        lines.append(f"order: {order_or_values}")
-        return lines
-    values = order_or_values
-    side = round(len(values) ** (1 / r))
+    side = round(len(values) ** (1 / r)) if r else 1
     coords = range(-(side // 2), side // 2 + 1)
     if len(coords) ** r != len(values):
         raise ValueError(f"a list of {len(values)} entries is no degree box in {r} variables")
+    if r == 0:
+        lines.append(f"order: {desc.params.p ** values[0]}")
+        return lines
     names = [str(x) for x in coords]
     # the last coordinate varies fastest: each prefix dim[c1,...,c_{r-1},
     # heads a run of len(coords) consecutive entries, which zip draws from

@@ -92,21 +92,28 @@ def prop_ffield_ring_axioms(rng, cases):
 
 
 def prop_ffield_frobenius_additive(rng, cases):
+    """The Frobenius of k is C^{-1} on 0-forms: additive, and x -> x^p as
+    the product table computes it."""
     for _ in range(cases):
         k = rand_context(rng)
         x, y = rand_element(rng, k), rand_element(rng, k)
-        check((x + y).frobenius() == x.frobenius() + y.frobenius())
-        check(x.frobenius() == x ** k.p)
+        fx, fy = DiffForm.from_poly(x), DiffForm.from_poly(y)
+        check(inv_cartier(DiffForm.from_poly(x + y)) == inv_cartier(fx) + inv_cartier(fy),
+              f"C^-1 not additive on x={x!r}, y={y!r}")
+        check(inv_cartier(fx) == DiffForm.from_poly(x ** k.p), f"C^-1(x) != x^p for x={x!r}")
 
 
 def prop_ffield_pth_root_roundtrip(rng, cases):
+    """The p-th root of k is C on 0-forms: it inverts C^{-1}, a p-th power
+    is closed, and C(x^p) = x."""
     for _ in range(cases):
         k = rand_context(rng)
         x = rand_element(rng, k)
-        check(x.frobenius().pth_root() == x)
-        h = x.frobenius()
-        check(h.is_pth_power())
-        check(h.pth_root() ** k.p == h)
+        fx = DiffForm.from_poly(x)
+        h = inv_cartier(fx)
+        check(cartier(h) == fx, f"C(C^-1(x)) != x for x={x!r}")
+        check(is_closed(h), f"C^-1(x) not closed for x={x!r}")
+        check(cartier(DiffForm.from_poly(x ** k.p)) == fx, f"C(x^p) != x for x={x!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ def teichmuller(ctx, code):
     """
     x = ctx.lift(code)
     while True:
-        y = ctx.pow(x, ctx.fq.q)
+        y = ctx.pow(x, ctx.p ** ctx.f)
         if y == x:
             return x
         x = y
@@ -42,7 +42,7 @@ def power_landing_ok(ctx, n):
     q) and on one element of valuation 1.
     """
     pn = ctx.p ** n
-    for code in range(2, min(ctx.fq.q, 10)):
+    for code in range(2, min(ctx.p ** ctx.f, 10)):
         x = ctx.pow(teichmuller(ctx, code), pn)
         if residue(ctx, x) == 1 and ctx.val(ctx.sub(x, ctx.one())) >= 1:
             return False

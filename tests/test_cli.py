@@ -227,6 +227,18 @@ class TestVerifyQ1:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "e_0 is not integral" in err
 
+    @pytest.mark.parametrize("text, error", [
+        ("p: 4\ncoeffs: 4 1\n", "p = 4 is not prime"),
+        ("p: 2\nf: 5\ncoeffs: 2 1\n", "no default modulus stored for (p, f) = (2, 5)"),
+    ], ids=["p-not-prime", "no-stored-modulus"])
+    def test_residue_field_without_modulus_is_a_usage_error(self, capsys, tmp_path,
+                                                            text, error):
+        # both polynomials are Eisenstein, so the residue field is what fails
+        fixture = tmp_path / "field.field"
+        fixture.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "verify-q1", "--fixture", str(fixture), "--n", "1")
+        assert (code, out, err) == (2, "", f"error: {error}\n")
+
     @pytest.mark.parametrize("case", ["missing-p", "missing-coeffs", "directory"])
     def test_malformed_fixture_is_a_usage_error(self, capsys, tmp_path, case):
         # "p 2" has no colon, so the fixture has no p: line

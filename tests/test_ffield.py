@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grmk.ffield import (DEFAULT_MODULI, ContextMismatch, FqContext, KContext,
-                         LaurentPoly, NotAPthPower, ParseError, format_element,
+                         LaurentPoly, ParseError, format_element, modulus,
                          parse_element)
+from grmk.forms import DiffForm, NotClosed, cartier, inv_cartier, is_closed
 
 
 def ctx(p=2, f=1, r=2):
@@ -92,6 +93,28 @@ class TestFqContext:
         with pytest.raises(ValueError, match="not irreducible"):
             FqContext(p, f)
 
+    @pytest.mark.parametrize("p,f", [(2, 1), (3, 1), (5, 1), (7, 1), *sorted(DEFAULT_MODULI)])
+    def test_codes_below_p_are_the_prime_field(self, p, f):
+        # Case II eliminates base-p digits with the residue field's own tables
+        fq = FqContext(p, f)
+        for a in range(p):
+            for b in range(p):
+                assert fq.add(a, b) == (a + b) % p
+                assert fq.sub(a, b) == (a - b) % p
+                assert fq.mul(a, b) == a * b % p
+                assert max(fq.add(a, b), fq.sub(a, b), fq.mul(a, b)) < p
+            if a:
+                assert fq.inv(a) == pow(a, -1, p) and fq.inv(a) < p
+
+    def test_modulus_checks_without_tables(self):
+        assert modulus(3, 1) == [0, 1] and modulus(2, 2) == DEFAULT_MODULI[2, 2]
+        for (p, f), text in (((4, 1), "p = 4 is not prime"), ((2, 0), "f must be >= 1"),
+                             ((2, 5), r"no default modulus stored for \(p, f\) = \(2, 5\)")):
+            with pytest.raises(ValueError, match=f"^{text}$"):
+                modulus(p, f)
+            with pytest.raises(ValueError, match=f"^{text}$"):
+                FqContext(p, f)
+
 
 class TestLaurentPoly:
     def test_add_identity(self):
@@ -132,26 +155,32 @@ class TestLaurentPoly:
         assert lhs == rhs
         assert lhs == t1 ** p + t2 ** p
 
+    # the Frobenius and the p-th root of k are C^{-1} and C on 0-forms, and
+    # the p-th powers are the closed 0-forms
+
     def test_pth_root_examples(self):
         k = ctx()
-        t1 = k.var(1)
-        assert (t1 ** 2).pth_root() == t1
-        assert k.one().pth_root() == k.one()
-        with pytest.raises(NotAPthPower):
-            t1.pth_root()
+        t1 = DiffForm.from_poly(k.var(1))
+        assert cartier(DiffForm.from_poly(k.var(1) ** 2)) == t1
+        one = DiffForm.from_poly(k.one())
+        assert cartier(one) == one
+        with pytest.raises(NotClosed):
+            cartier(t1)
 
     def test_pth_root_with_coefficient(self):
         k = KContext(2, 2, 2)
         c = 2  # the modulus root in GF(4)
         f = k.monomial((2, 4), c)
-        g = f.pth_root()
-        assert g ** 2 == f
-        assert g == k.monomial((1, 2), k.fq.frob_inv(c))
+        g = cartier(DiffForm.from_poly(f))
+        root = k.monomial((1, 2), k.fq.frob_inv(c))
+        assert g == DiffForm.from_poly(root)
+        assert root ** 2 == f
+        assert inv_cartier(g) == DiffForm.from_poly(f)
 
     def test_is_pth_power(self):
         k = ctx(p=3)
-        assert k.monomial((3, -6)).is_pth_power()
-        assert not k.monomial((3, -5)).is_pth_power()
+        assert is_closed(DiffForm.from_poly(k.monomial((3, -6))))
+        assert not is_closed(DiffForm.from_poly(k.monomial((3, -5))))
 
     def test_frobenius_additive_random(self):
         rng = random.Random(1)
@@ -162,7 +191,9 @@ class TestLaurentPoly:
             terms_g = {(rng.randint(-6, 6), rng.randint(-6, 6)): rng.randint(1, 2)
                        for _ in range(3)}
             f, g = LaurentPoly(k, terms_f), LaurentPoly(k, terms_g)
-            assert (f + g).frobenius() == f.frobenius() + g.frobenius()
+            frob_f, frob_g = (inv_cartier(DiffForm.from_poly(x)) for x in (f, g))
+            assert inv_cartier(DiffForm.from_poly(f + g)) == frob_f + frob_g
+            assert frob_f == DiffForm.from_poly(f ** 3)
 
     def test_context_mismatch(self):
         with pytest.raises(ContextMismatch):

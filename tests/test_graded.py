@@ -52,7 +52,7 @@ class TestParams:
     def test_with_level_shares_the_residue_field(self):
         P = CDVFParams(2, 2, 1, 4, 3, 2, "g^1*t1^1")
         low = P.with_level(1)
-        assert low.kctx is P.kctx and low.fp is P.fp and low.a is P.a
+        assert low.kctx is P.kctx and low.a is P.a
         assert (low.n, P.n) == (1, 3)
         assert repr(low) == repr(CDVFParams(2, 2, 1, 4, 1, 2, "g^1*t1^1"))
 
@@ -734,6 +734,12 @@ class TestDimRows:
             for bad in (values[:-1], values + [1], [1] * 4 ** r):
                 with pytest.raises(ValueError):
                     render_descriptor(desc, bad)
+        # at r = 0 the box is one degree, whose entry is the order's exponent
+        desc = descriptor(CDVFParams(2, 1, 0, 2, 2, 1, "1"), 4)
+        assert render_descriptor(desc, dim_values(desc, 2))[-1] == "order: 2"
+        for bad in ([], [1, 1]):
+            with pytest.raises(ValueError):
+                render_descriptor(desc, bad)
 
 
 class TestReduce:

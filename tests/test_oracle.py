@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from grmk.ffield import FqContext
 from grmk.graded import CDVFParams
 from grmk import oracle
 from grmk.oracle import (EisensteinPoly, NotEisenstein, ParamsMismatch,
@@ -95,11 +96,12 @@ class TestFieldContext:
         # checks the reduction by the lifted modulus against FqContext's tables
         for poly, N in ((Q4I, 7), (Q9Z, 5)):
             ctx = build_field(poly, N)
-            teich = [teichmuller(ctx, code) for code in range(ctx.fq.q)]
-            for a in range(ctx.fq.q):
+            fq = FqContext(ctx.p, ctx.f)
+            teich = [teichmuller(ctx, code) for code in range(fq.q)]
+            for a in range(fq.q):
                 assert residue(ctx, teich[a]) == a
-                for b in range(ctx.fq.q):
-                    assert ctx.mul(teich[a], teich[b]) == teich[ctx.fq.mul(a, b)]
+                for b in range(fq.q):
+                    assert ctx.mul(teich[a], teich[b]) == teich[fq.mul(a, b)]
 
     def test_f2_unit_torsion(self):
         # 1 + pi = i in Q_4(i), as in Q_2(i)
@@ -111,7 +113,7 @@ class TestFieldContext:
     @pytest.mark.parametrize("poly", [Q2I, Q9Z], ids=["q2i", "q9z3"])
     def test_pow_matches_repeated_mul(self, poly):
         ctx = build_field(poly, 7)
-        unit = ctx.add(ctx.lift(ctx.fq.q - 1), ctx.mul(ctx.pi(), ctx.lift(1)))
+        unit = ctx.add(ctx.lift(ctx.p ** ctx.f - 1), ctx.mul(ctx.pi(), ctx.lift(1)))
         # a tuple outside the canonical ranges must still give canonical powers
         raw = tuple(c - 5 * ctx.p ** 4 for c in unit)
         for x in (unit, ctx.pi(), raw):
@@ -320,7 +322,7 @@ class TestFilteredOracle:
             for _ in range(rng.randint(1, 3)):
                 u = ctx.one()
                 for j in range(1, N):
-                    u = ctx.add(u, ctx.mul(ctx.lift(rng.randrange(ctx.fq.q)), pi_pow[j]))
+                    u = ctx.add(u, ctx.mul(ctx.lift(rng.randrange(ctx.p ** ctx.f)), pi_pow[j]))
                 gens.append(u)
             group, frontier = {ctx.one()}, [ctx.one()]
             while frontier:
@@ -373,6 +375,22 @@ class TestFilteredOracle:
         rep = compare(ctx, params, filtered_unit_group(ctx, params.n))
         assert rep.all_match
         assert math.prod(o for _, o, _, _ in rep.rows) == poly.p ** (n * poly.e * poly.f + n)
+
+    def test_builds_no_residue_field_tables(self, monkeypatch):
+        # FieldContext reads only the stored modulus of GF(p^f)
+        field = SRC.parent / "bench" / "fields" / "q9_zeta3.field"
+        poly = load_fixture(field)
+        a = build_field(poly, 4).a_residue()
+        params = CDVFParams(poly.p, poly.f, 0, poly.e, 1, 1, str(a))
+
+        def refuse(self, p, f=1):
+            raise AssertionError("the oracle built an FqContext")
+
+        monkeypatch.setattr(FqContext, "__init__", refuse)
+        # the cutoffs c_n + 1 and c_n + 3 of verify-q1 at n = 1
+        for N in (4, 6):
+            ctx = build_field(poly, N)
+            assert compare(ctx, params, filtered_unit_group(ctx, 1)).all_match
 
     def test_runs_without_the_forms_engine(self, fixtures_dir):
         # grmk/__init__ imports the engine, so the package is a bare stub
