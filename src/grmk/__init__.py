@@ -15,8 +15,8 @@ from .graded import (CDVFParams, GradedCase, GrDescriptor, GrElement,
                      OUT_OF_RANGE, PRIME, OutOfRangeLevel,
                      CoefficientNotIntegral, WindowOverflow, MalformedSymbol,
                      PreconditionViolated)
-from .oracle import (EisensteinPoly, FieldContext, UnitGroupTable,
-                     build_field, filtered_unit_group, unit_group, compare,
+from .oracle import (EisensteinPoly, FieldContext, build_field,
+                     filtered_unit_group, unit_group, same_orders, compare,
                      load_fixture, NotEisenstein, TooLarge, ParamsMismatch)
 
 __version__ = "0.1.0"

@@ -77,13 +77,13 @@ def cmd_verify_q1(args):
     N = args.N if args.N is not None else c_n + 3
     ctx = oracle.build_field(poly, N)
     params = CDVFParams(poly.p, poly.f, 0, poly.e, args.n, 1, str(ctx.a_residue()))
-    table = oracle.filtered_unit_group(ctx, args.n)
-    cmp_report = oracle.compare(ctx, params, table)
-    # stabilization between cutoffs c_n + 1 and c_n + 3, reusing the table at N
-    lo, hi = (table if cutoff == N else oracle.filtered_unit_group(
+    orders = oracle.filtered_unit_group(ctx, args.n)
+    cmp_report = oracle.compare(ctx, params, orders)
+    # stabilization between cutoffs c_n + 1 and c_n + 3, reusing the orders at N
+    lo, hi = (orders if cutoff == N else oracle.filtered_unit_group(
                   oracle.build_field(poly, cutoff), args.n)
               for cutoff in (c_n + 1, c_n + 3))
-    stable = lo.same_orders(hi)
+    stable = oracle.same_orders(lo, hi)
     _emit(reports.render_compare(cmp_report, stable))
     return 0 if (cmp_report.all_match and stable) else 1
 
@@ -196,6 +196,10 @@ def main(argv=None):
         return 2
     except RUNTIME_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 1
+    except MemoryError:
+        # a degree box too large to allocate, say; str() of it is empty
+        sys.stderr.write("error: out of memory\n")
         return 1
 
 

@@ -12,16 +12,20 @@ H_m = U^m/U^N, and P is its subgroup of p^n-th powers, the image of
 u -> u^{p^n} (an endomorphism of an abelian group, hence a subgroup).  P
 equals the intersection of (K^x)^{p^n} with the 1-units up to level N
 because a p^n-th power pi^{a p^n} zeta^{p^n} u^{p^n} is a 1-unit only when
-a = 0 and zeta = 1.  Orders of the graded quotients come from the counts
-|P intersect H_m|, measured in two independent ways, each returning a
-`UnitGroupTable` that holds the counts and the orders they give:
+a = 0 and zeta = 1.  Since |H_m| = p^{f(N-m)}, the order of gr^m is
+
+    [H_m : P_m] / [H_{m+1} : P_{m+1}] = p^f |P_{m+1}| / |P_m|,
+
+P_m = P intersect H_m.  It is measured in two independent ways, each
+returning the plain dict {m: |gr^m|} for 1 <= m < N:
 
 * `filtered_unit_group` (used by `compare` and `verify-q1`) takes the
   generators g_{j,t} = 1 + y^t pi^j of H, raises them to the p^n-th power
   and reduces them to a filtered basis of P, one element per position of
   the GF(p)-refined filtration (the filtration method for (O_K/m)^*,
-  Cohen, Advanced Topics in Computational Number Theory, 4.2).  It costs a
-  polynomial number of products in N.
+  Cohen, Advanced Topics in Computational Number Theory, 4.2).  Each
+  position at level m divides |gr^m| by p.  It costs a polynomial number
+  of products in N.
 * `unit_group` enumerates all p^{f(N-1)} elements of H and counts the
   distinct p^n-th powers by level.  It is exponential in N, refuses an H
   larger than its cap, and stays as the reference the tests hold the
@@ -233,62 +237,11 @@ def build_field(poly, N):
 # ---------------------------------------------------------------------------
 # the unit group modulo p^n-th powers
 
-class UnitGroupTable:
-    """H = (1 + pi O_K)/(1 + pi^N O_K) with its subgroup P of p^n-th powers,
-    and the orders of the graded quotients measured from them.
-
-    The counts |H_m intersect P| are kept as p_level_counts[m] for
-    1 <= m <= N; |H_m| is p^{f(N-m)} on the nose.  `filtered_unit_group`
-    reads the counts off a filtered basis of P, `unit_group` counts the
-    enumerated P-elements of level >= m; both give the same table.
-
-    orders[m] (1 <= m < N) is |gr^m|, the ratio hp_index(m) / hp_index(m+1)
-    of the indices [H_m : H_m intersect P], and total_u1_image = [H : P] is
-    their product.  gr0_pi is the level-0 part from the prime element.
-    """
-
-    def __init__(self, ctx, n, p_level_counts, p_size):
-        self.ctx = ctx
-        self.n = n
-        self.N = ctx.N
-        self.p_level_counts = p_level_counts  # m -> #{x in P : v(x-1) >= m}
-        self.p_size = p_size
-        self.orders = {}
-        for m in range(1, ctx.N):
-            num = self.hp_index(m)
-            den = self.hp_index(m + 1)
-            if num % den:
-                raise AssertionError("filtration indices do not telescope")
-            self.orders[m] = num // den
-        # level 0 carries the prime element's contribution, which does not
-        # mix with the 1-unit filtration; the Teichmueller units add none,
-        # since p does not divide p^f - 1
-        self.gr0_pi = ctx.p ** n
-        self.total_u1_image = self.hp_index(1)
-
-    def h_size(self, m=1):
-        if m >= self.N:
-            return 1
-        return self.ctx.p ** (self.ctx.f * (self.N - m))
-
-    def hp_index(self, m):
-        """|H_m / (H_m intersect P)| for 1 <= m <= N."""
-        inter = self.p_level_counts.get(m, 1)
-        size = self.h_size(m)
-        if size % inter:
-            raise AssertionError("intersection size does not divide the level size")
-        return size // inter
-
-    def same_orders(self, other):
-        """True when the overlapping levels and the total agree."""
-        common = range(1, min(self.N, other.N))
-        if any(self.orders[m] != other.orders[m] for m in common):
-            return False
-        longer = self if self.N >= other.N else other
-        for m in range(min(self.N, other.N), longer.N):
-            if longer.orders[m] != 1:
-                return False
-        return self.total_u1_image == other.total_u1_image
+def same_orders(lo, hi):
+    """True when the orders of two cutoffs agree on their common levels and
+    every level only the longer one has is 1."""
+    shorter, longer = sorted((lo, hi), key=len)
+    return all(order == shorter.get(m, 1) for m, order in longer.items())
 
 
 def _check_cutoff(ctx, n):
@@ -353,7 +306,7 @@ def filtered_basis(ctx, gens):
 
 
 def filtered_unit_group(ctx, n):
-    """The table of H and P = H^{p^n} from a filtered basis of P.
+    """{m: |gr^m|} for 1 <= m < N from a filtered basis of P = H^{p^n}.
 
     The leads of g_{j,t} = 1 + y^t pi^j (1 <= j < N, 0 <= t < f) span every
     level, so these generate H and their p^n-th powers generate P.
@@ -367,10 +320,10 @@ def filtered_unit_group(ctx, n):
         pi_j = ctx.mul(pi_j, pi)
         for t in range(ctx.f):
             gens.append(ctx.pow(ctx.add(one, ctx.mul(ctx.lift(ctx.p ** t), pi_j)), pn))
-    levels = [pos // ctx.f for pos in filtered_basis(ctx, gens)]
-    counts = {m: ctx.p ** sum(1 for k in levels if k >= m)
-              for m in range(1, ctx.N + 1)}
-    return UnitGroupTable(ctx, n, counts, ctx.p ** len(levels))
+    orders = dict.fromkeys(range(1, ctx.N), ctx.p ** ctx.f)
+    for pos in filtered_basis(ctx, gens):
+        orders[pos // ctx.f] //= ctx.p
+    return orders
 
 
 def unit_group(ctx, n, cap=DEFAULT_ENUM_CAP):
@@ -395,11 +348,19 @@ def unit_group(ctx, n, cap=DEFAULT_ENUM_CAP):
             if code:
                 u = ctx.add(u, row[code])
         p_elems.add(ctx.pow(u, pn))
-    levels = sorted(ctx.val(ctx.sub(x, one)) for x in p_elems)
-    counts = {}
-    for m in range(1, ctx.N + 1):
-        counts[m] = sum(1 for v in levels if v >= m)
-    return UnitGroupTable(ctx, n, counts, len(p_elems))
+    # hist[k] counts the elements of P at level k; x = 1 sits at level N
+    hist = [0] * (ctx.N + 1)
+    for x in p_elems:
+        hist[ctx.val(ctx.sub(x, one))] += 1
+    orders = {}
+    above = hist[ctx.N]  # |P_{m+1}|
+    for m in range(ctx.N - 1, 0, -1):
+        order, rem = divmod(ctx.p ** ctx.f * above, above + hist[m])
+        if rem:
+            raise AssertionError("filtration indices do not telescope")
+        orders[m] = order
+        above += hist[m]
+    return dict(sorted(orders.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -415,9 +376,10 @@ class CompareReport:
         return all(match for _, _, _, match in self.rows)
 
 
-def compare(ctx, params, table):
-    """Per-level comparison of the oracle table's orders (from `unit_group`
-    or `filtered_unit_group` of ctx at params.n) against the presentations.
+def compare(ctx, params, orders):
+    """Per-level comparison of the oracle's orders {m: |gr^m|} (from
+    `unit_group` or `filtered_unit_group` of ctx at params.n) against the
+    presentations.  gr0_pi is not measured: it is p^n by the prime element.
     """
     from . import graded
 
@@ -435,6 +397,9 @@ def compare(ctx, params, table):
     for m in range(1, ctx.N):
         desc = graded.descriptor(params, m)
         engine = graded.graded_order(desc)
-        oracle = table.orders[m]
+        oracle = orders[m]
         rows.append((m, oracle, engine, oracle == engine))
-    return CompareReport(rows, table.gr0_pi)
+    # level 0 carries the prime element's contribution, which does not mix
+    # with the 1-unit filtration; the Teichmueller units add none, since p
+    # does not divide p^f - 1
+    return CompareReport(rows, ctx.p ** params.n)

@@ -79,6 +79,18 @@ class TestGr:
                 assert code == 2 and out == "", (m, cap)
                 assert err == f"error: the window cap must be at least 1, not {cap}\n"
 
+    @pytest.mark.parametrize("command", ["gr", "shift-check"])
+    def test_degree_box_out_of_memory_is_a_runtime_error(self, capsys, monkeypatch, command):
+        # a box of (2R+1)^r entries too large to allocate; gr calls the name
+        # it imported, shift-check the one in graded
+        def values(desc, radius=3):
+            raise MemoryError
+
+        monkeypatch.setattr("grmk.cli.dim_values", values)
+        monkeypatch.setattr("grmk.graded.dim_values", values)
+        code, out, err = run_cli(capsys, command, *BASE, "--m", "5")
+        assert (code, out, err) == (1, "", "error: out of memory\n")
+
 
 GOLDEN_GR_M4 = """\
 format: grmk.v1

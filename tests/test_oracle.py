@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import pathlib
@@ -12,7 +13,8 @@ from grmk.graded import CDVFParams
 from grmk import oracle
 from grmk.oracle import (EisensteinPoly, NotEisenstein, ParamsMismatch,
                          TooLarge, build_field, compare, filtered_basis,
-                         filtered_unit_group, load_fixture, unit_group)
+                         filtered_unit_group, load_fixture, same_orders,
+                         unit_group)
 from reference import power_landing_ok, residue, teichmuller
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -128,10 +130,12 @@ class TestFieldContext:
 
 
 class TestUnitGroup:
-    def test_h_size(self):
-        ctx = build_field(Q2I, 7)
-        table = unit_group(ctx, 2)
-        assert table.h_size() == 2 ** 6
+    def test_levels_and_divisibility(self):
+        # one order per level 1..N-1, each dividing |H_m / H_{m+1}| = p^f
+        for poly, n, N in ((Q2I, 2, 7), (Q4I, 1, 5), (Q9Z, 1, 4)):
+            orders = unit_group(build_field(poly, N), n)
+            assert list(orders) == list(range(1, N))
+            assert all(poly.p ** poly.f % order == 0 for order in orders.values())
 
     def test_cutoff_validation(self):
         ctx = build_field(Q2I, 6)
@@ -144,10 +148,10 @@ class TestUnitGroup:
             unit_group(ctx, 2, cap=32)
 
     def test_u1_image_order_gaussian(self):
-        assert unit_group(build_field(Q2I, 7), 2).total_u1_image == 64
+        assert math.prod(unit_group(build_field(Q2I, 7), 2).values()) == 64
 
     def test_u1_image_order_zeta3(self):
-        assert unit_group(build_field(Q3Z, 5), 1).total_u1_image == 27
+        assert math.prod(unit_group(build_field(Q3Z, 5), 1).values()) == 27
 
     def test_power_landing(self):
         assert power_landing_ok(build_field(Q2I, 7), 2)
@@ -158,22 +162,32 @@ class TestUnitGroup:
 class TestGrOrders:
     def test_gaussian_profile(self):
         rep = unit_group(build_field(Q2I, 7), 2)
-        assert [rep.orders[m] for m in range(1, 7)] == [2] * 6
+        assert [rep[m] for m in range(1, 7)] == [2] * 6
 
     def test_zeta3_profile(self):
         rep = unit_group(build_field(Q3Z, 5), 1)
-        assert [rep.orders[m] for m in range(1, 4)] == [3] * 3
-        assert rep.orders[4] == 1
+        assert [rep[m] for m in range(1, 4)] == [3] * 3
+        assert rep[4] == 1
 
     def test_telescoping(self):
+        # the orders multiply to [H : P]; |P| is counted here on its own
         for poly, n, N in ((Q2I, 2, 8), (Q3Z, 1, 6), (Q2S, 1, 7)):
-            rep = unit_group(build_field(poly, N), n)
-            prod = math.prod(rep.orders.values())
-            assert prod == rep.total_u1_image
+            ctx = build_field(poly, N)
+            rep = unit_group(ctx, n)
+            pi_pow = [ctx.pow(ctx.pi(), j) for j in range(1, N)]
+            powers = set()
+            for digits in itertools.product(range(ctx.p), repeat=N - 1):
+                u = ctx.one()
+                for c, pi_j in zip(digits, pi_pow):
+                    u = ctx.add(u, ctx.mul(ctx.from_int(c), pi_j))
+                powers.add(ctx.pow(u, ctx.p ** n))
+            prod = math.prod(rep.values())
+            assert prod == ctx.p ** (N - 1) // len(powers)
 
     def test_gr0_parts(self):
-        rep = unit_group(build_field(Q2I, 7), 2)
-        assert rep.gr0_pi == 4
+        ctx = build_field(Q2I, 7)
+        params = CDVFParams(2, 1, 0, 2, 2, 1, "1")
+        assert compare(ctx, params, unit_group(ctx, 2)).gr0_pi == 4
 
     def test_stabilization(self):
         for poly, n in ((Q2I, 2), (Q3Z, 1), (Q2S, 1)):
@@ -181,7 +195,7 @@ class TestGrOrders:
             c_n = n * poly.e + e0
             lo = unit_group(build_field(poly, c_n + 1), n)
             hi = unit_group(build_field(poly, c_n + 3), n)
-            assert lo.same_orders(hi)
+            assert same_orders(lo, hi)
 
     def test_shift_shadow(self):
         # the level shift on the oracle side: order(gr^m at n) equals
@@ -189,7 +203,7 @@ class TestGrOrders:
         rep2 = unit_group(build_field(Q2I, 9), 2)
         rep1 = unit_group(build_field(Q2I, 7), 1)
         for m in range(Q2I.e + 2 + 1, 7):
-            assert rep2.orders[m] == rep1.orders[m - Q2I.e]
+            assert rep2[m] == rep1[m - Q2I.e]
 
     def test_shift_shadow_surjectivity_only(self):
         # without a p^n-th root of unity only surjectivity is guaranteed:
@@ -197,9 +211,9 @@ class TestGrOrders:
         rep2 = unit_group(build_field(Q2S, 9), 2)
         rep1 = unit_group(build_field(Q2S, 7), 1)
         for m in range(Q2S.e + 2 + 1, 7):
-            assert rep2.orders[m] <= rep1.orders[m - Q2S.e]
+            assert rep2[m] <= rep1[m - Q2S.e]
         # and the bound is strict somewhere for Q_2(sqrt 2): zeta_4 is absent
-        assert any(rep2.orders[m] < rep1.orders[m - Q2S.e]
+        assert any(rep2[m] < rep1[m - Q2S.e]
                    for m in range(Q2S.e + 2 + 1, 7))
 
 
@@ -231,7 +245,7 @@ class TestCompare:
         ctx = build_field(poly, e + e // (p - 1) + 1)
         table = unit_group(ctx, 1)
         assert compare(ctx, CDVFParams(p, f, 0, e, 1, 1, a), table).all_match
-        assert table.total_u1_image == u1_image == p ** (e * f) * p
+        assert math.prod(table.values()) == u1_image == p ** (e * f) * p
 
     def test_beyond_top_threshold_rows_are_one(self):
         ctx = build_field(Q2I, 10)
@@ -302,11 +316,12 @@ class TestFilteredOracle:
         ctx = build_field(poly, N)
         table = filtered_unit_group(ctx, n)
         brute = unit_group(ctx, n)
-        assert table.p_level_counts == brute.p_level_counts
-        assert table.p_size == brute.p_size
+        # with |P_N| = 1 the orders and the counts |P_m| determine each
+        # other, so equal orders mean equal counts and equal |P|
+        assert table == brute
         # |U^1/(U^1)^{p^n}| = p^{nef} p^n holds exactly when mu_{p^n} is in
         # K; Q_2(sqrt 2) at n = 2 gives 32, not 64
-        total = table.total_u1_image
+        total = math.prod(table.values())
         assert (total == poly.p ** (n * poly.e * poly.f + n)) == has_mu
 
     @pytest.mark.parametrize("poly, N", [(Q2I, 7), (Q2S, 6), (Q3Z, 5),
@@ -405,10 +420,10 @@ class TestFilteredOracle:
             "from grmk import oracle\n"
             f"ctx = oracle.build_field(oracle.load_fixture({str(fixture)!r}), 18)\n"
             "t = oracle.filtered_unit_group(ctx, 2)\n"
-            "print(t.p_size, sorted(t.p_level_counts.items()))\n")
+            "print(sorted(t.items()))\n")
         env = dict(os.environ, PYTHONPATH=str(SRC))
         proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         table = filtered_unit_group(build_field(load_fixture(fixture), 18), 2)
-        assert proc.stdout == f"{table.p_size} {sorted(table.p_level_counts.items())}\n"
+        assert proc.stdout == f"{sorted(table.items())}\n"
