@@ -382,7 +382,10 @@ def parse_element(ctx, text):
     text = text.strip().replace(" ", "")
     if not text:
         raise ParseError("empty element")
-    total = ctx.zero()
+    # summed in one dict, a zero sum deleted as it arises: the terms, and
+    # their order, of adding the monomials one by one, in linear time
+    add = ctx.fq.add
+    total = {}
     for term in text.split("+"):
         if not term:
             raise ParseError("empty term", term)
@@ -404,8 +407,15 @@ def parse_element(ctx, text):
                 code = ctx.fq.mul(code, ctx.fq.from_int(int(piece)))
                 continue
             raise ParseError("unrecognized token", piece)
-        total = total + ctx.monomial(alpha, code)
-    return total
+        if code:
+            alpha = tuple(alpha)
+            check_alpha(alpha)
+            c = add(total.get(alpha, 0), code)
+            if c:
+                total[alpha] = c
+            else:
+                del total[alpha]
+    return LaurentPoly(ctx, total)
 
 
 def format_element(poly):

@@ -463,7 +463,10 @@ def parse_form(kctx, q, text):
         raise ParseError("empty form")
     if text == "0":
         return DiffForm.zero(kctx, q)
-    total = DiffForm.zero(kctx, q)
+    # each term is checked as a DiffForm, then summed into one dict as in
+    # parse_element
+    add = kctx.fq.add
+    total = {}
     for fterm in text.split("+"):
         if "dlog[" in fterm:
             elem_text, _, rest = fterm.partition("*dlog[")
@@ -484,8 +487,13 @@ def parse_form(kctx, q, text):
                 raise ParseError(f"term {fterm!r} has degree 0, expected {q}", fterm)
             subset = ()
             poly = parse_element(kctx, fterm)
-        total = total + DiffForm(kctx, q, {subset: poly})
-    return total
+        for key, c in DiffForm(kctx, q, {subset: poly}).terms.items():
+            c = add(total.get(key, 0), c)
+            if c:
+                total[key] = c
+            else:
+                del total[key]
+    return DiffForm._of(kctx, q, total)
 
 
 def format_form(w):

@@ -26,7 +26,10 @@ symbol map a pair (x dlog y_1 ^ ... , 0) corresponds to the symbol
 {1 + pi^m x~, y~_1, ...} and (0, ...) to symbols ending in pi.
 
 Case I is slice-diagonal: a degree-beta slice only meets relations at beta,
-so each slice reduces by the Koszul homotopy, with no elimination.  Only
+so each slice reduces by the Koszul homotopy, with no elimination.  That
+reduction is a GF(p)-linear map which reads beta only mod p^(level+1), so
+`reduce` builds it once per class of beta and keeps it on the descriptor,
+which `descriptor` shares per level.  Only
 Case II, where 1 + aC moves a slice beta divisible by p to beta/p + shift(a),
 solves the relation subgroup on a support-closed degree window.  Canonical
 representatives are deterministic and constant on cosets.
@@ -121,6 +124,8 @@ class CDVFParams:
         self.n = n
         self.q = q
         self.a = a
+        # (m, window_cap) -> the GrDescriptor of `descriptor`, for 1 <= m <= c_n
+        self.descriptors = {}
 
     @property
     def e0(self):
@@ -134,11 +139,13 @@ class CDVFParams:
         """These parameters at modulus exponent n.
 
         The residue field context (with its Koszul memo) and a are shared
-        with self: neither depends on n.
+        with self: neither depends on n.  The descriptors do, so the copy
+        starts with none.
         """
         _check_level(self.p, self.e, n)
         low = copy.copy(self)
         low.n = n
+        low.descriptors = {}
         return low
 
     def __repr__(self):
@@ -228,7 +235,9 @@ class GrDescriptor:
 
     branch is one of 'theta' (Case I, n-i > s), 'zmod' (Case I, n-i <= s),
     'ac' (Case II) or 'zero' (Case III); the relation data needed by each
-    branch is stored alongside.
+    branch is stored alongside.  `descriptor` hands out one object per
+    (params, m, window_cap) for m <= c_n, so treat it as read-only: only
+    `reduce` fills class_maps, its memo of `_class_maps` per class of beta.
     """
 
     def __init__(self, params, m, case, window_cap=DEFAULT_WINDOW_CAP):
@@ -239,6 +248,7 @@ class GrDescriptor:
         self.theta_coeff = None
         self.b_level = None
         self.z_level = None
+        self.class_maps = {}
         if case.tag == CASE_I:
             if params.n - case.i > case.s:
                 self.branch = "theta"
@@ -317,11 +327,19 @@ class GrElement:
 
 
 def descriptor(params, m, window_cap=DEFAULT_WINDOW_CAP):
+    """The GrDescriptor at level m: one shared object per (m, window_cap)
+    for 1 <= m <= c_n, kept in params.descriptors; a fresh one in Case III,
+    whose levels are unbounded."""
     if m < 1:
         raise OutOfRangeLevel("levels start at m = 1 (gr^0 is outside this presentation)")
     if window_cap < 1:
         raise ValueError(f"the window cap must be at least 1, not {window_cap}")
-    return GrDescriptor(params, m, classify(params, m), window_cap)
+    desc = params.descriptors.get((m, window_cap))
+    if desc is None:
+        desc = GrDescriptor(params, m, classify(params, m), window_cap)
+        if m <= params.threshold(params.n):
+            params.descriptors[m, window_cap] = desc
+    return desc
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +372,31 @@ def _theta_relation_space(desc, beta, v1, v2):
     for i, c in h.items():
         v2[i] = fq.sub(v2.get(i, 0), fq.mul(desc.theta_coeff, c))
     return n1, koszul_nf(kctx, alpha, q - 2, v2)[0]
+
+
+def _class_maps(desc, beta):
+    """_theta_relation_space at beta as one sparse map of the terms: the
+    image of the unit vector at subset S of slot j (0 for O^{q-1}, 1 for
+    O^{q-2}) is the list of its terms (slot, subset, code), at key (j, S).
+
+    The function is GF(p^f)-linear in (v1, v2), with GF(p) entries, and
+    slot 0 of its image does not read v2, so the map has three blocks:
+    slot 0 -> slot 0, slot 0 -> slot 1 and slot 1 -> slot 1.  It reads
+    beta only through whether p^level divides it (level = desc.tower[1]),
+    the tower root mod p and beta/p^level mod p, so the map depends only
+    on beta mod p^(level+1), the key `reduce` stores it under.
+    """
+    r, q = desc.params.r, desc.params.q
+    subs = (subsets_of(r, q - 1), subsets_of(r, q - 2))
+    rows = {}
+    for j in (0, 1):
+        for i, sub in enumerate(subs[j]):
+            units = [{}, {}]
+            units[j] = {i: 1}
+            images = _theta_relation_space(desc, beta, *units)
+            rows[j, sub] = [(slot, subs[slot][t], c)
+                            for slot in (0, 1) for t, c in images[slot].items()]
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -516,13 +559,25 @@ def reduce(el):
     if desc.branch == "ac":
         return GrElement(desc, _reduce_ac_slot(desc, el.w1, params.q - 1),
                          _reduce_ac_slot(desc, el.w2, params.q - 2))
-    vecs1, vecs2 = slice_vectors(el.w1), slice_vectors(el.w2)
-    out1, out2 = {}, {}
-    for beta in dict.fromkeys(itertools.chain(vecs1, vecs2)):
-        out1[beta], out2[beta] = _theta_relation_space(
-            desc, beta, vecs1.get(beta, {}), vecs2.get(beta, {}))
-    return GrElement(desc, from_slice_vectors(params.kctx, params.q - 1, out1),
-                     from_slice_vectors(params.kctx, params.q - 2, out2))
+    # one cached linear map per class of beta mod p^(level+1) (_class_maps),
+    # applied term by term: outs[slot][T, beta] += c * x for each image
+    # term (slot, T, x) of the input term's subset
+    add, mul = params.kctx.fq.add, params.kctx.fq.mul
+    mod = params.p ** (desc.tower[1] + 1)
+    maps = desc.class_maps
+    outs = ({}, {})
+    for j, w in enumerate((el.w1, el.w2)):
+        for (sub, beta), c in w.terms.items():
+            key = tuple([x % mod for x in beta])
+            rows = maps.get(key)
+            if rows is None:
+                rows = maps[key] = _class_maps(desc, beta)
+            for slot, t, x in rows[j, sub]:
+                out = outs[slot]
+                k = t, beta
+                out[k] = add(out.get(k, 0), mul(c, x))
+    return GrElement(desc, DiffForm._of(params.kctx, params.q - 1, outs[0]),
+                     DiffForm._of(params.kctx, params.q - 2, outs[1]))
 
 
 def is_zero(el):

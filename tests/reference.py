@@ -1,14 +1,18 @@
 """Test-only references, kept out of the package: helpers on the oracle's
 O_K/(pi^N), a monomial d, a dense Gauss-Jordan elimination, the
-slice-diagonal quotient by elimination and the `dim[...]` rows by pattern.
+slice-diagonal quotient by elimination, the Case I reduction slice by slice
+and the `dim[...]` rows by pattern.
 
 These helpers return values for the tests to assert on; they assert nothing
 themselves, since pytest rewrites asserts only in test modules and python -O
 strips the rest.
 """
 
-from grmk.forms import B_KIND, Z_KIND, DiffForm, subsets_of, subspace_basis
-from grmk.graded import theta
+import itertools
+
+from grmk.forms import (B_KIND, Z_KIND, DiffForm, from_slice_vectors,
+                        slice_vectors, subsets_of, subspace_basis)
+from grmk.graded import GrElement, _theta_relation_space, theta
 from grmk.linalg import RowSpace
 
 
@@ -128,6 +132,20 @@ def slice_quotient(desc, beta):
             vec.update((cols[u], c) for (u, g), c in form.terms.items() if g == beta)
         space.add(vec)
     return space
+
+
+def reduce_by_slices(el):
+    """reduce on the 'theta' and 'zmod' branches with no class maps: each
+    slice's pair of vectors through graded._theta_relation_space."""
+    desc = el.desc
+    params = desc.params
+    vecs1, vecs2 = slice_vectors(el.w1), slice_vectors(el.w2)
+    out1, out2 = {}, {}
+    for beta in dict.fromkeys(itertools.chain(vecs1, vecs2)):
+        out1[beta], out2[beta] = _theta_relation_space(
+            desc, beta, vecs1.get(beta, {}), vecs2.get(beta, {}))
+    return GrElement(desc, from_slice_vectors(params.kctx, params.q - 1, out1),
+                     from_slice_vectors(params.kctx, params.q - 2, out2))
 
 
 def dim_rows(table, r):

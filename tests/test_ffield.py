@@ -4,9 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grmk.ffield import (DEFAULT_MODULI, ContextMismatch, FqContext, KContext,
-                         LaurentPoly, ParseError, format_element, modulus,
-                         parse_element)
+from grmk.ffield import (DEFAULT_MODULI, EXP_LIMIT, ContextMismatch,
+                         ExponentOverflow, FqContext, KContext, LaurentPoly,
+                         ParseError, format_element, modulus, parse_element)
 from grmk.forms import DiffForm, NotClosed, cartier, inv_cartier, is_closed
 
 
@@ -245,6 +245,34 @@ class TestGrammar:
         assert parse_element(k, "7") == k.scalar(2)
         assert parse_element(k, "2*t1^3*t2^-2") == k.monomial((3, -2), 2)
         assert parse_element(k, "t1^1*t1^2") == k.monomial((3, 0))
+
+    def test_repeated_and_cancelling_terms(self):
+        # the parser sums its terms in one dict; the reference is the sum of
+        # the one-term parses by LaurentPoly.__add__
+        rng = random.Random(31)
+        for p, f in [(2, 1), (3, 1), (2, 2), (3, 2)]:
+            k = KContext(p, f, 2)
+            for _ in range(40):
+                pool = [f"{c}*t1^{a}*t2^{b}" if c < p else f"g^{c}*t1^{a}*t2^{b}"
+                        for c, a, b in ((rng.randrange(1, p ** f), rng.randint(-1, 1),
+                                         rng.randint(0, 1)) for _ in range(3))]
+                terms = [rng.choice(pool) for _ in range(rng.randint(1, 2 * p + 2))]
+                want = k.zero()
+                for term in terms:
+                    want = want + parse_element(k, term)
+                assert parse_element(k, "+".join(terms)) == want, terms
+        k = ctx(p=3)
+        assert parse_element(k, "t1^1+2*t1^1").is_zero()
+        assert parse_element(k, "t1^1+t2^1+2*t1^1+t1^1") == k.var(1) + k.var(2)
+        assert parse_element(k, "1+1+1+t2^-1") == k.monomial((0, -1))
+
+    def test_cancelled_term_still_checks_its_exponent(self):
+        k = ctx(p=2)
+        big = EXP_LIMIT + 1
+        with pytest.raises(ExponentOverflow):
+            parse_element(k, f"t1^{big}+t1^{big}")
+        # a zero coefficient makes no term, so it is not checked
+        assert parse_element(k, f"0*t1^{big}+t2^1") == k.var(2)
 
     def test_parse_errors(self):
         k = ctx()

@@ -390,6 +390,39 @@ class TestGrammar:
             assert parse_form(k, q, text) == w
             assert format_form(parse_form(k, q, text)) == text
 
+    def test_repeated_and_cancelling_terms(self):
+        # the parser sums its terms in one dict; the reference is the sum of
+        # the one-term parses by DiffForm.__add__
+        rng = random.Random(32)
+        for p, f in [(2, 1), (3, 1), (2, 2)]:
+            k = KContext(p, f, 3)
+            for q in (0, 1, 2):
+                pool = [format_form(DiffForm.monomial(
+                            k, (rng.randint(-1, 1), 0, rng.randint(0, 2)),
+                            rng.choice(subsets_of(3, q)), rng.randrange(1, p ** f)))
+                        for _ in range(3)]
+                for _ in range(20):
+                    terms = [rng.choice(pool) for _ in range(rng.randint(1, 2 * p + 2))]
+                    want = DiffForm.zero(k, q)
+                    for term in terms:
+                        want = want + parse_form(k, q, term)
+                    assert parse_form(k, q, "+".join(terms)) == want, terms
+        k = ctx()
+        assert parse_form(k, 1, "t1^1*dlog[2]+t1^1*dlog[2]").is_zero()
+        assert parse_form(k, 1, "t1^1*dlog[2]+1*dlog[3]+t1^1*dlog[2]") == dlog(k, 3)
+
+    def test_checks_survive_cancellation(self):
+        from grmk.ffield import ParseError
+        k = ctx(p=2, r=2)
+        big = EXP_LIMIT + 1
+        with pytest.raises(ExponentOverflow):
+            parse_form(k, 1, f"t1^{big}*dlog[1]+t1^{big}*dlog[1]")
+        # a subset out of range is an error even with a zero coefficient
+        with pytest.raises(ValueError, match="out of range"):
+            parse_form(k, 1, "0*dlog[3]+1*dlog[1]")
+        with pytest.raises(ParseError):
+            parse_form(k, 1, "1*dlog[1]+1*dlog[1]+1")
+
     def test_parse_degree_mismatch(self):
         from grmk.ffield import ParseError
         k = ctx()

@@ -8,8 +8,9 @@ from grmk.ffield import KContext, LaurentPoly
 from grmk.forms import (B_KIND, Z_KIND, DiffForm, NotClosed, d, format_form,
                         inv_cartier_iter, nf_mod, parse_form, subsets_of,
                         subspace_basis)
-from grmk.graded import (CASE_I, CASE_II, CASE_III, OUT_OF_RANGE, PRIME,
-                         CDVFParams, CoefficientNotIntegral, MalformedSymbol,
+from grmk.graded import (CASE_I, CASE_II, CASE_III, DEFAULT_WINDOW_CAP,
+                         OUT_OF_RANGE, PRIME, CDVFParams,
+                         CoefficientNotIntegral, MalformedSymbol,
                          OutOfRangeLevel, PreconditionViolated, SymbolExpr,
                          WindowOverflow, _ac_closure, _ac_closure_entries,
                          _ac_relation_space, _ac_window, _degree_box,
@@ -24,7 +25,7 @@ from grmk.graded import (CASE_I, CASE_II, CASE_III, OUT_OF_RANGE, PRIME,
 from grmk.linalg import RowSpace
 from grmk.reports import render_consistency, render_descriptor
 from grmk.selftest import rand_form
-from reference import dim_rows, slice_quotient
+from reference import dim_rows, reduce_by_slices, slice_quotient
 
 
 def params_q2i(q=1, r=0):
@@ -62,6 +63,50 @@ class TestParams:
         for n in (3, 0):
             with pytest.raises(ValueError):
                 P.with_level(n)
+
+
+class TestDescriptorCache:
+    def test_one_object_per_level_and_cap(self):
+        P = CDVFParams(2, 1, 2, 4, 2, 2, "t1^1")
+        for m in range(1, P.threshold(2) + 1):
+            desc = descriptor(P, m)
+            assert descriptor(P, m) is desc
+            assert descriptor(P, m, DEFAULT_WINDOW_CAP) is desc
+            other = descriptor(P, m, window_cap=50)
+            assert other is not desc and other.window_cap == 50
+            assert descriptor(P, m, window_cap=50) is other
+            assert (other.m, other.case, other.branch) == (desc.m, desc.case, desc.branch)
+
+    def test_with_level_has_its_own_descriptors(self):
+        P = CDVFParams(2, 1, 2, 4, 2, 2, "t1^1")
+        m = 6  # s = 1: theta at n = 2, zmod at n = 1
+        high = descriptor(P, m)
+        low = P.with_level(1)
+        assert low.descriptors == {}
+        desc = descriptor(low, m)
+        assert desc is not high and desc.params is low
+        assert (high.branch, desc.branch) == ("theta", "zmod")
+        assert descriptor(low, m) is desc and descriptor(P, m) is high
+
+    def test_levels_past_the_top_threshold_are_not_kept(self):
+        P = CDVFParams(2, 1, 2, 4, 2, 2, "t1^1")
+        top = P.threshold(2)
+        for m in (top + 1, top + 50):
+            desc = descriptor(P, m)
+            assert desc.branch == "zero" and descriptor(P, m) is not desc
+        assert descriptor(P, top) is descriptor(P, top)
+        assert set(P.descriptors) == {(top, DEFAULT_WINDOW_CAP)}
+
+    def test_argument_checks_come_first(self):
+        P = CDVFParams(2, 1, 2, 4, 2, 2, "t1^1")
+        descriptor(P, 1)
+        for m in (0, -3):
+            with pytest.raises(OutOfRangeLevel):
+                descriptor(P, m)
+        for cap in (0, -1):
+            with pytest.raises(ValueError, match="window cap must be at least 1"):
+                descriptor(P, 1, window_cap=cap)
+        assert set(P.descriptors) == {(1, DEFAULT_WINDOW_CAP)}
 
 
 class TestClassify:
@@ -852,6 +897,68 @@ class TestReduce:
                 el = desc.element(rand_form(rng, P.kctx, 0))
                 red = reduce(el)
                 assert reduce(red) == red
+
+
+class TestClassMaps:
+    # reduce applies one cached map per class of beta mod p^(level+1) on the
+    # 'theta' and 'zmod' branches; reference.reduce_by_slices runs
+    # _theta_relation_space on every slice instead.  (p, f, e, n):
+    FIELDS = [(2, 1, 8, 3), (2, 2, 4, 2), (3, 1, 6, 2), (3, 2, 6, 2),
+              (5, 1, 20, 2), (5, 2, 20, 2)]
+
+    @staticmethod
+    def _slices(rng, p, level):
+        """Degrees at r = 2 of every kind the maps tell apart, with a second
+        degree in the class of each: 0, p^level alpha with alpha prime to p,
+        and with p | alpha, and (at level > 0) a non-multiple of p^level."""
+        ps, step = p ** level, p ** (level + 1)
+        seeds = [(0, 0), (ps, ps * rng.randint(-2, 2)),
+                 (step * rng.choice([1, -1, 2]), step * rng.randint(-1, 1))]
+        if level:
+            seeds.append((rng.randint(-3, 3), 1))
+        return seeds + [(x + step, y - step) for x, y in seeds]
+
+    def test_reduce_matches_the_slice_path(self):
+        rng = random.Random(41)
+        kinds, branches = Counter(), Counter()
+        for p, f, e, n in self.FIELDS:
+            for q in (1, 2, 3):
+                P = CDVFParams(p, f, 2, e, n, q, "1")
+                k = P.kctx
+                for m in range(1, P.threshold(n)):
+                    desc = descriptor(P, m)
+                    if desc.branch not in ("theta", "zmod"):
+                        continue
+                    level = desc.tower[1]
+                    for _ in range(3):
+                        slices = self._slices(rng, p, level)
+                        w1, w2 = (DiffForm._of(k, deg, {
+                            (rng.choice(subsets_of(2, deg)), rng.choice(slices)):
+                            rng.randrange(1, p ** f) for _ in range(8)})
+                            if subsets_of(2, deg) else DiffForm.zero(k, deg)
+                            for deg in (q - 1, q - 2))
+                        el = desc.element(w1, w2)
+                        assert reduce(el) == reduce_by_slices(el), (P, m, w1, w2)
+                        for _, beta in w1.terms:
+                            if beta == (0, 0):
+                                kinds["zero"] += 1
+                            elif any(x % p ** level for x in beta):
+                                kinds["off"] += 1
+                            else:
+                                kinds["p | alpha" if all(x % p ** (level + 1) == 0
+                                                         for x in beta) else "alpha"] += 1
+                    branches[desc.branch] += 1
+        assert branches["theta"] >= 400 and branches["zmod"] >= 40, branches
+        assert len(kinds) == 4 and min(kinds.values()) >= 400, kinds
+
+    def test_maps_are_kept_per_class(self):
+        P = CDVFParams(3, 1, 2, 6, 2, 2, "1")
+        desc = descriptor(P, 3)  # theta at s = 1: classes mod 9
+        assert (desc.branch, desc.tower[1]) == ("theta", 1)
+        k = P.kctx
+        for beta in [(3, 0), (12, -9), (3, 9), (9, 0), (0, 0)]:
+            reduce(desc.element(DiffForm.monomial(k, beta, (1,))))
+        assert set(desc.class_maps) == {(3, 0), (0, 0)}
 
 
 class TestSymbols:
