@@ -28,6 +28,7 @@ Parsing and printing round-trip bit-exactly on canonical forms.
 
 from __future__ import annotations
 
+import functools
 import re
 
 # The one modulus of GF(p^f) for each supported f > 1 (f = 1 needs none):
@@ -272,6 +273,11 @@ class KContext:
 
     def __repr__(self):
         return f"KContext(p={self.p}, f={self.f}, r={self.r})"
+
+
+# The KContext(p, f, r) shared in a process: a context holds only its tables
+# and Koszul memo, both fixed by (p, f, r).  KContext itself builds a fresh one.
+residue_field = functools.lru_cache(maxsize=16)(KContext)
 
 
 def check_alpha(alpha):

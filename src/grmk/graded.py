@@ -42,7 +42,7 @@ import itertools
 import math
 import re
 
-from .ffield import KContext, LaurentPoly, parse_element
+from .ffield import LaurentPoly, parse_element, residue_field
 from .forms import (B_KIND, Z_KIND, DiffForm, cartier, d, format_form,
                     from_slice_vectors, in_Z, inv_cartier_iter, koszul_nf,
                     slice_vectors, subsets_of, subspace_basis, tower_nf,
@@ -104,7 +104,7 @@ class CDVFParams:
     """Arithmetic context (p, f, r, e, n, q, a) for the graded quotients."""
 
     def __init__(self, p, f, r, e, n, q, a):
-        kctx = KContext(p, f, r)
+        kctx = residue_field(p, f, r)
         if e < 1 or n < 1 or q < 1:
             raise ValueError("e, n, q must all be >= 1")
         if e % (p - 1) != 0:
@@ -304,6 +304,13 @@ class GrElement:
         self.desc = desc
         self.w1 = w1 if w1.q == q - 1 else DiffForm.zero(k, q - 1)
         self.w2 = w2 if w2.q == q - 2 else DiffForm.zero(k, q - 2)
+
+    @classmethod
+    def _of(cls, desc, w1, w2):
+        """The pair unchecked, for forms of degrees q-1, q-2 over desc's field."""
+        el = object.__new__(cls)
+        el.desc, el.w1, el.w2 = desc, w1, w2
+        return el
 
     def _same_desc(self, other):
         """Same descriptor, or one at the same level over the same params."""
@@ -557,8 +564,8 @@ def reduce(el):
     if desc.branch == "zero":
         return desc.zero_element()
     if desc.branch == "ac":
-        return GrElement(desc, _reduce_ac_slot(desc, el.w1, params.q - 1),
-                         _reduce_ac_slot(desc, el.w2, params.q - 2))
+        return GrElement._of(desc, _reduce_ac_slot(desc, el.w1, params.q - 1),
+                             _reduce_ac_slot(desc, el.w2, params.q - 2))
     # one cached linear map per class of beta mod p^(level+1) (_class_maps),
     # applied term by term: outs[slot][T, beta] += c * x for each image
     # term (slot, T, x) of the input term's subset
@@ -576,8 +583,8 @@ def reduce(el):
                 out = outs[slot]
                 k = t, beta
                 out[k] = add(out.get(k, 0), mul(c, x))
-    return GrElement(desc, DiffForm._of(params.kctx, params.q - 1, outs[0]),
-                     DiffForm._of(params.kctx, params.q - 2, outs[1]))
+    return GrElement._of(desc, DiffForm._of(params.kctx, params.q - 1, outs[0]),
+                         DiffForm._of(params.kctx, params.q - 2, outs[1]))
 
 
 def is_zero(el):

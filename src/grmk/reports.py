@@ -5,7 +5,7 @@ all orderings are deterministic so equal inputs give byte-identical output.
 
 from __future__ import annotations
 
-import itertools
+import functools
 
 from .forms import format_form
 
@@ -44,36 +44,37 @@ def render_params(params):
     return [f"{key}: {getattr(params, key)}" for key in ("p", "f", "r", "e", "e0", "n", "q", "a")]
 
 
+@functools.lru_cache(maxsize=4)
+def _dim_rows(r, radius):
+    """The `dim[...]` rows of the box |beta|_inf <= radius in r variables as
+    one `%` pattern, a `%d` per entry in graded._degree_box order."""
+    names = [str(x) for x in range(-radius, radius + 1)]
+    heads = ["dim["]
+    for _ in range(r - 1):
+        heads = [head + name + "," for head in heads for name in names]
+    return "\n".join([head + name + "]: %d" for head in heads for name in names])
+
+
 def render_descriptor(desc, values):
     """The `gr` report from the graded.dim_values list: `order:` when r = 0,
-    from its one entry, the order's exponent; else one `dim[...]` row per
-    degree, its entries following the degree box |beta|_inf <= radius
-    (graded._degree_box) in ascending product order.  The radius is read
-    off the list's length, and a list of a length that is no box raises."""
+    from its one entry, the order's exponent; else the `dim[...]` rows of
+    the degree box |beta|_inf <= radius, filled from the list in one `%`
+    (_dim_rows).  The radius is read off the list's length, and a list of a
+    length that is no box raises."""
     lines = [HEADER, "report: gr"]
     lines += render_params(desc.params)
     lines += _case_lines(desc)
     lines.append(f"branch: {desc.branch}")
     lines.append(f"presentation: {_presentation(desc)}")
     r = desc.params.r
-    side = round(len(values) ** (1 / r)) if r else 1
-    coords = range(-(side // 2), side // 2 + 1)
-    if len(coords) ** r != len(values):
+    radius = round(len(values) ** (1 / r)) // 2 if r else 0
+    if (2 * radius + 1) ** r != len(values):
         raise ValueError(f"a list of {len(values)} entries is no degree box in {r} variables")
     if r == 0:
         lines.append(f"order: {desc.params.p ** values[0]}")
         return lines
-    names = [str(x) for x in coords]
-    # the last coordinate varies fastest: each prefix dim[c1,...,c_{r-1},
-    # heads a run of len(coords) consecutive entries, which zip draws from
-    # one iterator (lasts first, so no entry is drawn past a run)
-    prefixes = ["dim[" + "".join(t) for t in itertools.product(
-        [name + "," for name in names], repeat=r - 1)]
-    lasts = [name + "]: " for name in names]
-    entries = map(str, values)
     lines.append("dim_units: GF(p)")
-    lines += [prefix + last + entry
-              for prefix in prefixes for last, entry in zip(lasts, entries)]
+    lines.append(_dim_rows(r, radius) % tuple(values))
     return lines
 
 

@@ -1,12 +1,14 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from grmk.ffield import (DEFAULT_MODULI, EXP_LIMIT, ContextMismatch,
                          ExponentOverflow, FqContext, KContext, LaurentPoly,
-                         ParseError, format_element, modulus, parse_element)
+                         ParseError, format_element, modulus, parse_element,
+                         residue_field)
 from grmk.forms import DiffForm, NotClosed, cartier, inv_cartier, is_closed
 
 
@@ -44,6 +46,16 @@ class TestFqContext:
     def test_nonprime_rejected(self):
         with pytest.raises(ValueError):
             FqContext(6)
+
+    def test_shared_context_raises_as_a_fresh_one(self):
+        # residue_field caches KContext, so a bad (p, f, r) raises the same
+        # error through it
+        for bad in ((6, 1, 0), (2, 0, 1), (2, 1, -1), (7, 3, 0)):
+            with pytest.raises(ValueError) as fresh:
+                KContext(*bad)
+            with pytest.raises(ValueError, match=re.escape(str(fresh.value))):
+                residue_field(*bad)
+        assert residue_field(2, 2, 1) is residue_field(2, 2, 1) == KContext(2, 2, 1)
 
     @pytest.mark.parametrize("p,f", [(2, 1), (3, 1), (5, 1), (7, 1), *sorted(DEFAULT_MODULI)])
     def test_tables_match_the_stored_modulus(self, p, f):

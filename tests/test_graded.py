@@ -9,7 +9,7 @@ from grmk.forms import (B_KIND, Z_KIND, DiffForm, NotClosed, d, format_form,
                         inv_cartier_iter, nf_mod, parse_form, subsets_of,
                         subspace_basis)
 from grmk.graded import (CASE_I, CASE_II, CASE_III, DEFAULT_WINDOW_CAP,
-                         OUT_OF_RANGE, PRIME, CDVFParams,
+                         OUT_OF_RANGE, PRIME, CDVFParams, GrElement,
                          CoefficientNotIntegral, MalformedSymbol,
                          OutOfRangeLevel, PreconditionViolated, SymbolExpr,
                          WindowOverflow, _ac_closure, _ac_closure_entries,
@@ -56,6 +56,17 @@ class TestParams:
         assert low.kctx is P.kctx and low.a is P.a
         assert (low.n, P.n) == (1, 3)
         assert repr(low) == repr(CDVFParams(2, 2, 1, 4, 1, 2, "g^1*t1^1"))
+
+    def test_one_residue_field_per_p_f_r(self):
+        # equal (p, f, r) share one context whatever (e, n, q, a) are; a
+        # different f or r, or a plain KContext, gets its own
+        P = CDVFParams(3, 1, 2, 6, 2, 2, "1")
+        assert CDVFParams(3, 1, 2, 18, 3, 3, "t1^1").kctx is P.kctx
+        assert CDVFParams(3, 1, 2, 2, 1, 1, "1+t2^-1").kctx is P.kctx
+        for other in (CDVFParams(3, 2, 2, 6, 2, 2, "1"), CDVFParams(3, 1, 1, 6, 2, 2, "1"),
+                      CDVFParams(3, 1, 3, 6, 2, 2, "1")):
+            assert other.kctx is not P.kctx
+        assert KContext(3, 1, 2) is not P.kctx and KContext(3, 1, 2) == P.kctx
 
     def test_with_level_keeps_the_divisibility_check(self):
         P = params_q2i()
@@ -192,7 +203,9 @@ class TestOnePlusAC:
 def _break_d_squared(monkeypatch, deg):
     """Double the first entry of each Koszul column into degree deg, for
     contexts built from now on: over an odd p, d o d is then nonzero at
-    slices with two indices prime to p."""
+    slices with two indices prime to p.  CDVFParams then builds a fresh
+    KContext, whose Koszul memo holds no entry of the shared one."""
+    monkeypatch.setattr("grmk.graded.residue_field", KContext)
     real = forms.koszul_matrix
 
     def broken(kctx, alpha, q):
@@ -742,7 +755,8 @@ class TestDimRows:
     @staticmethod
     def _rows(desc, values):
         lines = render_descriptor(desc, values)
-        return lines[lines.index("dim_units: GF(p)") + 1:]
+        # the rows come as one element, filled from one template per box
+        return "\n".join(lines[lines.index("dim_units: GF(p)") + 1:]).split("\n")
 
     def test_tables_match_the_pattern_rows(self):
         widest = 0
@@ -771,6 +785,14 @@ class TestDimRows:
                 wide = {beta: 7 * i for i, beta in enumerate(_degree_box(r, radius))}
                 assert self._rows(desc, list(wide.values())) == dim_rows(wide, r), (r, radius)
 
+    def test_one_box_two_value_lists(self):
+        # the template is kept per box, not per list: lists over one box
+        # each print their own rows
+        desc = descriptor(CDVFParams(2, 1, 2, 2, 2, 1, "t1^1"), 4)
+        box = _degree_box(2, 1)
+        for values in ([0] * 9, list(range(9)), [12] * 9):
+            assert self._rows(desc, values) == dim_rows(dict(zip(box, values)), 2)
+
     def test_table_off_the_box_raises(self):
         # a list one entry short or long, or of an even side, is no box
         for r in (1, 2, 3):
@@ -788,6 +810,28 @@ class TestDimRows:
 
 
 class TestReduce:
+    def test_public_constructor_checks_its_forms(self):
+        # reduce builds its result unchecked; the public constructor still
+        # rejects a wrong degree and a form over a foreign residue field
+        P = CDVFParams(2, 1, 2, 4, 2, 2, "t1^1")
+        desc = descriptor(P, 9)
+        w1 = parse_form(P.kctx, 1, "t1^1*dlog[1]")
+        w2 = parse_form(P.kctx, 0, "t1^1")
+        for bad in ((w2, w2), (w1, w1)):
+            with pytest.raises(ValueError, match="degree"):
+                GrElement(desc, *bad)
+        for foreign in (KContext(2, 2, 2), KContext(2, 1, 3), KContext(3, 1, 2)):
+            with pytest.raises(ValueError, match="residue field"):
+                GrElement(desc, parse_form(foreign, 1, "t1^1*dlog[1]"), w2)
+            with pytest.raises(ValueError, match="residue field"):
+                GrElement(desc, w1, parse_form(foreign, 0, "t1^1"))
+        # on every branch, what reduce returns passes those checks
+        for m in range(1, P.threshold(P.n) + 2):
+            level = descriptor(P, m)
+            red = reduce(GrElement(level, w1, w2))
+            assert GrElement(level, red.w1, red.w2) == red, m
+            assert (red.w1.kctx, red.w1.q, red.w2.q) == (P.kctx, 1, 0), m
+
     def test_zero_reduces_to_zero(self):
         P = params_q2i()
         desc = descriptor(P, 5)
