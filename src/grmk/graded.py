@@ -52,7 +52,6 @@ from .linalg import RowSpace
 CASE_I = "I"
 CASE_II = "II"
 CASE_III = "III"
-OUT_OF_RANGE = "out_of_range"
 
 PRIME = "pi"
 
@@ -153,47 +152,6 @@ class CDVFParams:
                 f"n={self.n}, q={self.q}, a={self.a})")
 
 
-class GradedCase:
-    """Classification tag for a level m; exactly one tag applies."""
-
-    __slots__ = ("tag", "i", "s")
-
-    def __init__(self, tag, i=None, s=None):
-        self.tag = tag
-        self.i = i
-        self.s = s
-
-    def __eq__(self, other):
-        return (isinstance(other, GradedCase)
-                and (self.tag, self.i, self.s) == (other.tag, other.i, other.s))
-
-    def __repr__(self):
-        if self.tag == CASE_I:
-            return f"CaseI(i={self.i}, s={self.s})"
-        if self.tag == CASE_II:
-            return f"CaseII(i={self.i})"
-        if self.tag == CASE_III:
-            return "CaseIII"
-        return "OutOfRange"
-
-
-def classify(params, m):
-    """Place m against the thresholds; s is the exact p-adic valuation of m."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if m == 0:
-        return GradedCase(OUT_OF_RANGE)
-    if m > params.threshold(params.n):
-        return GradedCase(CASE_III)
-    for i in range(1, params.n + 1):
-        if m == params.threshold(i):
-            return GradedCase(CASE_II, i=i)
-    for i in range(params.n):
-        if params.threshold(i) < m < params.threshold(i + 1):
-            return GradedCase(CASE_I, i=i, s=vp(m, params.p))
-    raise AssertionError(f"classification fell through for m = {m}")
-
-
 # ---------------------------------------------------------------------------
 # the relation map of Case I and the 1 + aC operator of Case II
 
@@ -214,12 +172,12 @@ def theta(params, m, w):
     Defined for levels strictly between thresholds with n-i > s; its cokernel
     presents the graded quotient there.  w has degree q-2.
     """
-    case = classify(params, m)
-    if case.tag != CASE_I or params.n - case.i <= case.s:
+    desc = descriptor(params, m)
+    if desc.branch != "theta":
         raise PreconditionViolated(
-            f"theta is only defined in Case I with n-i > s; m={m} gives {case!r}")
-    lam = _theta_coeff(params, m, case.i, case.s)
-    return inv_cartier_iter(d(w), case.s), inv_cartier_iter(w, case.s).scale(lam)
+            f"theta is only defined in Case I with n-i > s; m={m} gives {desc.case_text}")
+    s = desc.s
+    return inv_cartier_iter(d(w), s), inv_cartier_iter(w, s).scale(desc.theta_coeff)
 
 
 def one_plus_ac(params, z):
@@ -233,38 +191,53 @@ def one_plus_ac(params, z):
 class GrDescriptor:
     """Quotient presentation of the graded piece at level m.
 
-    branch is one of 'theta' (Case I, n-i > s), 'zmod' (Case I, n-i <= s),
-    'ac' (Case II) or 'zero' (Case III); the relation data needed by each
-    branch is stored alongside.  `descriptor` hands out one object per
-    (params, m, window_cap) for m <= c_n, so treat it as read-only: only
-    `reduce` fills class_maps, its memo of `_class_maps` per class of beta.
+    The level is placed against c_1 < ... < c_n: with i the first index with
+    m <= c_i it is Case II(i) when m = c_i, else Case I(i-1, s = v_p(m)); past
+    c_n it is Case III.  tag, i and s record that, and branch is one of
+    'theta' (Case I, n-i > s), 'zmod' (Case I, n-i <= s), 'ac' (Case II) or
+    'zero' (Case III); the relation data needed by each branch is stored
+    alongside.  `descriptor` hands out one object per (params, m,
+    window_cap) for m <= c_n, so treat it as read-only: only `reduce` fills
+    class_maps, its memo of `_class_maps` per class of beta.
     """
 
-    def __init__(self, params, m, case, window_cap=DEFAULT_WINDOW_CAP):
+    def __init__(self, params, m, window_cap=DEFAULT_WINDOW_CAP):
+        if m < 1:
+            raise OutOfRangeLevel("levels start at m = 1 (gr^0 is outside this presentation)")
+        if window_cap < 1:
+            raise ValueError(f"the window cap must be at least 1, not {window_cap}")
         self.params = params
         self.m = m
-        self.case = case
         self.window_cap = window_cap
-        self.theta_coeff = None
-        self.b_level = None
-        self.z_level = None
+        self.i = self.s = self.theta_coeff = self.b_level = self.z_level = None
         self.class_maps = {}
-        if case.tag == CASE_I:
-            if params.n - case.i > case.s:
-                self.branch = "theta"
-                self.b_level = case.s
-                self.theta_coeff = _theta_coeff(params, m, case.i, case.s)
-            else:
-                self.branch = "zmod"
-                self.z_level = params.n - case.i
-        elif case.tag == CASE_II:
-            self.branch = "ac"
+        n = params.n
+        i = next((i for i in range(1, n + 1) if m <= params.threshold(i)), None)
+        if i is None:
+            self.tag, self.branch = CASE_III, "zero"
+        elif m == params.threshold(i):
+            self.tag, self.i, self.branch = CASE_II, i, "ac"
             # i = n gives Z_0; the operator lives on its closed part Z_1
-            self.z_level = max(params.n - case.i, 1)
-        elif case.tag == CASE_III:
-            self.branch = "zero"
+            self.z_level = max(n - i, 1)
         else:
-            raise OutOfRangeLevel(f"no presentation at level m = {m}")
+            self.tag, self.i, self.s = CASE_I, i - 1, vp(m, params.p)
+            if n - self.i > self.s:
+                self.branch, self.b_level = "theta", self.s
+                self.theta_coeff = _theta_coeff(params, m, self.i, self.s)
+            else:
+                self.branch, self.z_level = "zmod", n - self.i
+
+    @property
+    def index_data(self):
+        """The case's indices as (name, value) pairs: i and s in Case I, i in
+        Case II, none in Case III."""
+        return [(k, v) for k, v in (("i", self.i), ("s", self.s)) if v is not None]
+
+    @property
+    def case_text(self):
+        """The case as CaseI(i=1, s=0), CaseII(i=2) or CaseIII."""
+        args = ", ".join(f"{k}={v}" for k, v in self.index_data)
+        return f"Case{self.tag}({args})" if args else f"Case{self.tag}"
 
     @property
     def tower(self):
@@ -284,7 +257,7 @@ class GrDescriptor:
         return GrElement(self, w1, w2)
 
     def __repr__(self):
-        return f"GrDescriptor(m={self.m}, case={self.case!r}, branch={self.branch})"
+        return f"GrDescriptor(m={self.m}, case={self.case_text}, branch={self.branch})"
 
 
 class GrElement:
@@ -337,13 +310,9 @@ def descriptor(params, m, window_cap=DEFAULT_WINDOW_CAP):
     """The GrDescriptor at level m: one shared object per (m, window_cap)
     for 1 <= m <= c_n, kept in params.descriptors; a fresh one in Case III,
     whose levels are unbounded."""
-    if m < 1:
-        raise OutOfRangeLevel("levels start at m = 1 (gr^0 is outside this presentation)")
-    if window_cap < 1:
-        raise ValueError(f"the window cap must be at least 1, not {window_cap}")
     desc = params.descriptors.get((m, window_cap))
     if desc is None:
-        desc = GrDescriptor(params, m, classify(params, m), window_cap)
+        desc = GrDescriptor(params, m, window_cap)
         if m <= params.threshold(params.n):
             params.descriptors[m, window_cap] = desc
     return desc
@@ -827,7 +796,8 @@ def format_symbol(sym):
 # consistency of the level shift (n, m) -> (n-1, m-e)
 
 class ShiftConsistencyReport:
-    """Comparison of the presentations at (n, m) and (n-1, m-e).
+    """Comparison of the presentations at (n, m) and (n-1, m-e), whose
+    descriptors are case_high and case_low.
 
     Multiplication by p carries the filtration at level n-1 onto the one at
     level n once m > e + e_0, so the two presentations must agree under the
@@ -853,31 +823,30 @@ class ShiftConsistencyReport:
                 and not self.dim_mismatches and not self.probe_flags)
 
 
-def _descriptors_shift_match(d_high, d_low):
-    high, low = d_high.case, d_low.case
+def _descriptors_shift_match(high, low):
     if high.tag == CASE_III and low.tag == CASE_III:
         return True, "both beyond the top threshold"
-    if high.tag != low.tag or high.tag not in (CASE_I, CASE_II):
-        return False, f"case tags differ: {high!r} vs {low!r}"
+    if high.tag != low.tag:
+        return False, f"case tags differ: {high.case_text} vs {low.case_text}"
     if low.i != high.i - 1:
         return False, f"index shift broken: i={high.i} vs i={low.i}"
-    if d_high.branch != d_low.branch:
-        return False, f"branches differ: {d_high.branch} vs {d_low.branch}"
-    if d_high.branch == "theta":
+    if high.branch != low.branch:
+        return False, f"branches differ: {high.branch} vs {low.branch}"
+    if high.branch == "theta":
         if high.s != low.s:
             return False, f"valuations differ: s={high.s} vs s={low.s}"
-        if d_high.theta_coeff != d_low.theta_coeff:
+        if high.theta_coeff != low.theta_coeff:
             return False, (f"relation-map coefficients differ: "
-                           f"{d_high.theta_coeff} vs {d_low.theta_coeff}")
-    elif d_high.z_level != d_low.z_level:
-        return False, f"tower levels differ: {d_high.z_level} vs {d_low.z_level}"
+                           f"{high.theta_coeff} vs {low.theta_coeff}")
+    elif high.z_level != low.z_level:
+        return False, f"tower levels differ: {high.z_level} vs {low.z_level}"
     return True, f"case {high.tag} with index shift {high.i}->{low.i}"
 
 
 def level_shift_consistency(params, m, probes=(), radius=DEFAULT_TABLE_RADIUS,
                             window_cap=DEFAULT_WINDOW_CAP):
-    """The ShiftConsistencyReport at (n, m): orders at r = 0, else the two
-    dim_values lists in one comparison, and only if they differ the
+    """The ShiftConsistencyReport at (n, m): the two dim_values lists in one
+    comparison, read as orders at r = 0, and else, only if they differ, the
     degrees whose entries differ, in _degree_box order."""
     _check_radius(radius)
     if params.n <= 1:
@@ -886,25 +855,20 @@ def level_shift_consistency(params, m, probes=(), radius=DEFAULT_TABLE_RADIUS,
         raise PreconditionViolated(
             f"the level shift needs m > e + e_0 = {params.e + params.e0}")
     report = ShiftConsistencyReport(params, m)
-    low_params = params.with_level(params.n - 1)
-    d_high = descriptor(params, m, window_cap)
-    d_low = descriptor(low_params, m - params.e, window_cap)
-    report.case_high = d_high.case
-    report.case_low = d_low.case
-    report.structure_ok, report.structure_note = _descriptors_shift_match(
-        d_high, d_low)
+    d_high = report.case_high = descriptor(params, m, window_cap)
+    d_low = report.case_low = descriptor(params.with_level(params.n - 1), m - params.e,
+                                         window_cap)
+    report.structure_ok, report.structure_note = _descriptors_shift_match(d_high, d_low)
+    # same beta on both sides: a theta level here has s < n-i <= v_p(e), so v_p(m-e) = s
+    v_high = dim_values(d_high, radius)
+    v_low = dim_values(d_low, radius)
     if params.r == 0:
-        report.order_high = graded_order(d_high)
-        report.order_low = graded_order(d_low)
-        report.orders_ok = report.order_high == report.order_low
-    else:
-        # same beta on both sides: a theta level here has s < n-i <= v_p(e), so v_p(m-e) = s
-        v_high = dim_values(d_high, radius)
-        v_low = dim_values(d_low, radius)
-        if v_high != v_low:
-            report.dim_mismatches = [
-                (beta, hi, lo) for beta, hi, lo in zip(_degree_box(params.r, radius),
-                                                       v_high, v_low) if hi != lo]
+        report.order_high, report.order_low = params.p ** v_high[0], params.p ** v_low[0]
+        report.orders_ok = v_high == v_low
+    elif v_high != v_low:
+        report.dim_mismatches = [
+            (beta, hi, lo) for beta, hi, lo in zip(_degree_box(params.r, radius),
+                                                   v_high, v_low) if hi != lo]
     for w1, w2 in probes:
         z_high = is_zero(GrElement(d_high, w1, w2))
         z_low = is_zero(GrElement(d_low, w1, w2))

@@ -13,15 +13,9 @@ HEADER = "format: grmk.v1"
 
 
 def _case_lines(desc):
-    params = desc.params
-    case = desc.case
-    lines = [f"m: {desc.m}", f"case: {case.tag}"]
-    if case.i is not None:
-        lines.append(f"i: {case.i}")
-    if case.s is not None:
-        lines.append(f"s: {case.s}")
-    for i in range(1, params.n + 1):
-        lines.append(f"c{i}: {params.threshold(i)}")
+    lines = [f"m: {desc.m}", f"case: {desc.tag}"]
+    lines += [f"{k}: {v}" for k, v in desc.index_data]
+    lines += [f"c{i}: {desc.params.threshold(i)}" for i in range(1, desc.params.n + 1)]
     return lines
 
 
@@ -118,7 +112,7 @@ def render_compare(cmp_report, stabilization_ok):
 def render_consistency(rep):
     lines = [HEADER, "report: shift-check",
              f"m: {rep.m}", f"n: {rep.params.n}",
-             f"case_high: {rep.case_high!r}", f"case_low: {rep.case_low!r}",
+             f"case_high: {rep.case_high.case_text}", f"case_low: {rep.case_low.case_text}",
              f"structure: {'ok' if rep.structure_ok else 'MISMATCH'}",
              f"structure_note: {rep.structure_note}"]
     if rep.order_high is not None:

@@ -5,8 +5,10 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
+# appended, so a copy of src/ on PYTHONPATH (tests/mutation_gate.py) is
+# imported in its place
 if str(SRC) not in sys.path:
-    sys.path.insert(0, str(SRC))
+    sys.path.append(str(SRC))
 
 FIXTURES = ROOT / "fixtures"
 

@@ -10,7 +10,7 @@ import random
 import time
 
 from grmk import cli
-from grmk.graded import (CASE_III, CDVFParams, classify, descriptor,
+from grmk.graded import (CASE_III, CDVFParams, descriptor,
                          graded_order, level_shift_consistency)
 from grmk.oracle import build_field, load_fixture, same_orders, unit_group
 from grmk.selftest import PROPERTIES
@@ -84,7 +84,7 @@ def test_criterion_3_vanishing_beyond_top_threshold(fixtures_dir):
         params = _fixture_params(poly, n, ctx)
         for m in range(c_n + 1, c_n + 5):
             assert rep[m] == 1, (name, m, rep[m])
-            assert classify(params, m).tag == CASE_III
+            assert descriptor(params, m).tag == CASE_III
         checked.append(name)
     print(f"PASS criterion 3: vanishing beyond c_n on {checked}")
 

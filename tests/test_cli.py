@@ -356,8 +356,8 @@ class TestShiftCheck:
             "dim_mismatch[-2,-2]: high=2 low=1", "dim_mismatch[2,2]: high=2 low=1"]
 
     def test_order_mismatch_fails(self, capsys, monkeypatch):
-        monkeypatch.setattr("grmk.graded.graded_order",
-                            lambda desc, radius=3: desc.params.p ** desc.params.n)
+        monkeypatch.setattr("grmk.graded.dim_values",
+                            lambda desc, radius=3: [desc.params.n])
         code, out, _ = run_cli(capsys, "shift-check", *BASE, "--m", "5")
         assert code == 1
         assert "orders: MISMATCH" in out and "consistent: no" in out

@@ -9,14 +9,13 @@ from grmk.forms import (B_KIND, Z_KIND, DiffForm, NotClosed, d, format_form,
                         inv_cartier_iter, nf_mod, parse_form, subsets_of,
                         subspace_basis)
 from grmk.graded import (CASE_I, CASE_II, CASE_III, DEFAULT_WINDOW_CAP,
-                         OUT_OF_RANGE, PRIME, CDVFParams, GrElement,
+                         PRIME, CDVFParams, GrElement,
                          CoefficientNotIntegral, MalformedSymbol,
                          OutOfRangeLevel, PreconditionViolated, SymbolExpr,
                          WindowOverflow, _ac_closure, _ac_closure_entries,
                          _ac_relation_space, _ac_window, _degree_box,
                          _flatten_form, _shift_bound, _slice_fp_dim,
                          _theta_relation_space,
-                         classify,
                          descriptor, dim_values, format_symbol, graded_order,
                          is_zero,
                          level_shift_consistency, make_z_tower_element,
@@ -86,7 +85,8 @@ class TestDescriptorCache:
             other = descriptor(P, m, window_cap=50)
             assert other is not desc and other.window_cap == 50
             assert descriptor(P, m, window_cap=50) is other
-            assert (other.m, other.case, other.branch) == (desc.m, desc.case, desc.branch)
+            assert ((other.m, other.tag, other.i, other.s, other.branch)
+                    == (desc.m, desc.tag, desc.i, desc.s, desc.branch))
 
     def test_with_level_has_its_own_descriptors(self):
         P = CDVFParams(2, 1, 2, 4, 2, 2, "t1^1")
@@ -123,21 +123,22 @@ class TestDescriptorCache:
 class TestClassify:
     def test_case_i_low(self):
         P = params_q2i()
-        case = classify(P, 3)
+        case = descriptor(P, 3)
         assert case.tag == CASE_I and case.i == 0 and case.s == 0
 
     def test_case_ii_and_iii(self):
         P = params_q2i()
-        assert classify(P, 4).tag == CASE_II and classify(P, 4).i == 1
-        assert classify(P, 7).tag == CASE_III
+        assert descriptor(P, 4).tag == CASE_II and descriptor(P, 4).i == 1
+        assert descriptor(P, 7).tag == CASE_III
 
     def test_out_of_range(self):
-        assert classify(params_q2i(), 0).tag == OUT_OF_RANGE
+        with pytest.raises(OutOfRangeLevel):
+            descriptor(params_q2i(), 0)
 
     def test_partition(self):
         for P in (params_q2i(), CDVFParams(3, 1, 0, 6, 2, 1, "1")):
             for m in range(1, P.threshold(P.n) + 5):
-                case = classify(P, m)
+                case = descriptor(P, m)
                 assert case.tag in (CASE_I, CASE_II, CASE_III)
                 if case.tag == CASE_I:
                     assert 0 <= case.i < P.n
@@ -173,8 +174,21 @@ class TestTheta:
         with pytest.raises(PreconditionViolated):
             theta(P, 4, DiffForm.zero(P.kctx, -1))
 
+    def test_zmod_level_rejected_with_its_case(self):
+        # m = 10 = c_1 + 2: Case I with i = 1, s = 1 >= n - i
+        P = CDVFParams(2, 1, 0, 4, 2, 1, "1")
+        with pytest.raises(PreconditionViolated, match=r"m=10 gives CaseI\(i=1, s=1\)$"):
+            theta(P, 10, DiffForm.zero(P.kctx, -1))
+
+    def test_levels_below_one_rejected(self):
+        # theta reads the level's descriptor, and no level starts below 1
+        P = params_q2i()
+        for m in (0, -2):
+            with pytest.raises(OutOfRangeLevel):
+                theta(P, m, DiffForm.zero(P.kctx, -1))
+
     def test_nonintegral_coefficient_reported(self):
-        # unreachable through classify under the enforced divisibility, but
+        # unreachable through descriptor under the enforced divisibility, but
         # the guard must report rather than truncate
         from grmk.graded import _theta_coeff
         P = params_q2i()

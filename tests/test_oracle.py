@@ -9,7 +9,8 @@ import sys
 import pytest
 
 from grmk.ffield import FqContext
-from grmk.graded import CDVFParams
+from grmk.forms import DiffForm
+from grmk.graded import CASE_II, CDVFParams, descriptor, is_zero
 from grmk import oracle
 from grmk.oracle import (EisensteinPoly, NotEisenstein, ParamsMismatch,
                          TooLarge, build_field, compare, filtered_basis,
@@ -427,3 +428,72 @@ class TestFilteredOracle:
         assert proc.returncode == 0, proc.stderr
         table = filtered_unit_group(build_field(load_fixture(fixture), 18), 2)
         assert proc.stdout == f"{sorted(table.items())}\n"
+
+
+# (fixture, n): the five fixtures up to the n of tests/test_acceptance.py,
+# and the two fields with f = 2, whose Case II levels have proper kernels
+ELEMENT_CASES = [("q2_gaussian.field", 1), ("q2_gaussian.field", 2),
+                 ("q3_zeta3.field", 1), ("q2_sqrt2.field", 1),
+                 ("q2_zeta8.field", 1), ("q2_zeta8.field", 2), ("q2_zeta8.field", 3),
+                 ("q3_zeta9.field", 1), ("q3_zeta9.field", 2),
+                 ("q4_i.field", 1), ("q9_zeta3.field", 1)]
+
+
+def _kernels(poly, n):
+    """{m: (oracle, engine)} for 1 <= m <= c_n: the codes u != 0 with
+    1 + [u] pi^m in P U^{m+1}, and those with (u, 0) zero in gr^m at q = 1.
+
+    P is the subgroup of p^n-th powers, spanned by the p^n-th powers of
+    1 + lift(p^t) pi^j (oracle.filtered_basis).  An element of level m lies
+    in P U^{m+1} when its lead at level m clears against the basis elements
+    at level m, by the loop filtered_basis inserts with.
+    """
+    c_n = _c_n(poly, n)
+    ctx = build_field(poly, c_n + 1)
+    p, f = ctx.p, ctx.f
+    one, pi = ctx.one(), ctx.pi()
+    pi_pow = [one]
+    for _ in range(c_n):
+        pi_pow.append(ctx.mul(pi_pow[-1], pi))
+    gens = [ctx.pow(ctx.add(one, ctx.mul(ctx.lift(p ** t), pi_pow[j])), p ** n)
+            for j in range(1, c_n + 1) for t in range(f)]
+    basis = filtered_basis(ctx, gens)
+    params = CDVFParams(p, f, 0, poly.e, n, 1, str(ctx.a_residue()))
+    kctx = params.kctx
+    out = {}
+    for m in range(1, c_n + 1):
+        desc = descriptor(params, m)
+        ours, engine = [], []
+        for u in range(1, p ** f):
+            x = ctx.add(one, ctx.mul(ctx.lift(u), pi_pow[m]))
+            lead = oracle._lead(ctx, x)
+            while lead is not None and lead[0] // f == m and lead[0] in basis:
+                pos, c = lead
+                x = ctx.mul(x, ctx.pow(basis[pos], p - c))
+                lead = oracle._lead(ctx, x)
+            if lead is None or lead[0] // f > m:
+                ours.append(u)
+            if is_zero(desc.element(DiffForm.from_poly(kctx.monomial((), u)))):
+                engine.append(u)
+        out[m] = ours, engine
+    return out
+
+
+class TestElementsAtRZero:
+    """The engine against the oracle element by element at r = 0: equal
+    orders can hide different subgroups, equal kernels cannot."""
+
+    @pytest.mark.parametrize("name, n", ELEMENT_CASES,
+                             ids=[f"{name.split('.')[0]}-n{n}" for name, n in ELEMENT_CASES])
+    def test_kernels_match(self, fixtures_dir, name, n):
+        kernels = _kernels(load_fixture(fixtures_dir / name), n)
+        assert {m: o for m, (o, e) in kernels.items() if o != e} == {}
+
+    def test_case_ii_kernels_are_proper(self, fixtures_dir):
+        # at f = 2 a Case II level of order p has a kernel of p - 1 nonzero
+        # codes out of p^2 - 1: the check sees which ones
+        for name, m, want in (("q4_i.field", 4, [1]), ("q9_zeta3.field", 3, [4, 8])):
+            poly = load_fixture(fixtures_dir / name)
+            params = CDVFParams(poly.p, poly.f, 0, poly.e, 1, 1, "1")
+            assert descriptor(params, m).tag == CASE_II
+            assert _kernels(poly, 1)[m] == (want, want), name
