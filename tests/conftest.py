@@ -5,10 +5,8 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
-# appended, so a copy of src/ on PYTHONPATH (tests/mutation_gate.py) is
-# imported in its place
 if str(SRC) not in sys.path:
-    sys.path.append(str(SRC))
+    sys.path.insert(0, str(SRC))
 
 FIXTURES = ROOT / "fixtures"
 

@@ -1,14 +1,14 @@
 """Mutation gate: every recorded mutant of the program must fail its check.
 
-    python3 tests/mutation_gate.py           # every mutant
-    python3 tests/mutation_gate.py NAME...   # the named ones
+    python3 tests/mutation_gate.py
 
 A mutant is (name, file under src/, exact old snippet, new snippet, pytest
-selector).  For each one the gate copies src/ to a temporary directory,
-replaces the snippet there and runs the selector with PYTHONPATH on the
-copy (tests/conftest.py appends the real src/ after it, so the copy is the
-one imported).  The selector must fail, and every selector must first pass
-on an unmutated copy.  Every snippet must occur exactly once in its file,
+selector).  For each one the gate copies src/, tests/ and fixtures/ to a
+temporary directory, replaces the snippet in the copy of src/ and runs the
+selector there with PYTHONPATH on that copy (the copied tests/conftest.py
+puts the copied src/ first on sys.path, so the copy is the one imported).
+The selector must fail, and every selector must first pass on an unmutated
+copy.  Every snippet must occur exactly once in its file,
 checked before anything runs: code that moved makes the gate fail loudly,
 and its mutant is updated with it.
 
@@ -69,10 +69,10 @@ MUTANTS = [
 ]
 
 
-def check_snippets(mutants):
+def check_snippets():
     """The mutants whose snippet does not occur exactly once, with the count."""
     bad = []
-    for name, path, old, _new, _selector in mutants:
+    for name, path, old, _new, _selector in MUTANTS:
         count = (SRC / path).read_text(encoding="utf-8").count(old)
         if count != 1:
             bad.append((name, count))
@@ -80,40 +80,38 @@ def check_snippets(mutants):
 
 
 def run_on_copy(selectors, path=None, old=None, new=None):
-    """pytest's exit code for the selectors on a copy of src/, with old
-    replaced by new in the file at path when one is given."""
+    """pytest's exit code for the selectors on a copy of the repository's
+    src/, tests/ and fixtures/, with old replaced by new in the file at path
+    under src/ when one is given."""
     with tempfile.TemporaryDirectory(prefix="grmk-mutant-") as tmp:
-        copy = pathlib.Path(tmp) / "src"
-        shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        copy = pathlib.Path(tmp)
+        for part in ("src", "tests", "fixtures"):
+            shutil.copytree(ROOT / part, copy / part,
+                            ignore=shutil.ignore_patterns("__pycache__"))
         if path is not None:
-            target = copy / path
+            target = copy / "src" / path
             target.write_text(target.read_text(encoding="utf-8").replace(old, new),
                               encoding="utf-8")
-        env = dict(os.environ, PYTHONPATH=str(copy), PYTHONDONTWRITEBYTECODE="1")
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
         return subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *selectors],
-            cwd=ROOT, env=env, capture_output=True, text=True, timeout=600).returncode
+            cwd=copy, env=env, capture_output=True, text=True, timeout=600).returncode
 
 
-def main(argv):
-    mutants = [m for m in MUTANTS if not argv or m[0] in argv]
-    unknown = set(argv) - {m[0] for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {', '.join(sorted(unknown))}")
-        return 2
-    bad = check_snippets(mutants)
+def main():
+    bad = check_snippets()
     for name, count in bad:
         print(f"{name}: snippet occurs {count} times, not once")
     if bad:
         return 1
     # the selectors must pass on the unmutated copy, or a failure below
     # would say nothing about the mutants
-    selectors = sorted({m[4] for m in mutants})
+    selectors = sorted({m[4] for m in MUTANTS})
     if run_on_copy(selectors) != 0:
         print("the selectors fail on the unmutated program")
         return 1
     survivors = []
-    for name, path, old, new, selector in mutants:
+    for name, path, old, new, selector in MUTANTS:
         start = time.monotonic()
         # exit 1 is a failing test; anything else (an interrupted run, a
         # usage error, no tests collected) is no verdict on the mutant
@@ -122,9 +120,9 @@ def main(argv):
               f"({time.monotonic() - start:.1f} s)", flush=True)
         if not ok:
             survivors.append(name)
-    print(f"mutants: {len(mutants)} killed: {len(mutants) - len(survivors)}")
+    print(f"mutants: {len(MUTANTS)} killed: {len(MUTANTS) - len(survivors)}")
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
