@@ -23,17 +23,6 @@ from .graded import (CDVFParams, MalformedSymbol, OutOfRangeLevel,
                      parse_symbol, reduce, symbol_to_forms)
 
 
-def _add_params_flags(sub):
-    sub.add_argument("--p", type=int, required=True, help="residue characteristic")
-    sub.add_argument("--f", type=int, default=1, help="residue degree over GF(p)")
-    sub.add_argument("--r", type=int, default=0, help="p-basis size of the residue field")
-    sub.add_argument("--e", type=int, required=True, help="absolute ramification index")
-    sub.add_argument("--n", type=int, required=True, help="modulus exponent of p^n")
-    sub.add_argument("--q", type=int, default=1, help="symbol degree")
-    sub.add_argument("--a", type=str, required=True,
-                     help="residue class of p*pi^(-e), in the element grammar")
-
-
 def _params_from(args):
     return CDVFParams(args.p, args.f, args.r, args.e, args.n, args.q, args.a)
 
@@ -121,23 +110,33 @@ def build_parser():
         description="graded quotients of unit-filtered Milnor K-groups mod p^n")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gr = sub.add_parser("gr", help="classify a level and print its presentation")
-    _add_params_flags(p_gr)
+    # the flags of CDVFParams, shared by every command that builds one
+    params = argparse.ArgumentParser(add_help=False)
+    params.add_argument("--p", type=int, required=True, help="residue characteristic")
+    params.add_argument("--f", type=int, default=1, help="residue degree over GF(p)")
+    params.add_argument("--r", type=int, default=0, help="p-basis size of the residue field")
+    params.add_argument("--e", type=int, required=True, help="absolute ramification index")
+    params.add_argument("--n", type=int, required=True, help="modulus exponent of p^n")
+    params.add_argument("--q", type=int, default=1, help="symbol degree")
+    params.add_argument("--a", type=str, required=True,
+                        help="residue class of p*pi^(-e), in the element grammar")
+
+    p_gr = sub.add_parser("gr", parents=[params],
+                          help="classify a level and print its presentation")
     p_gr.add_argument("--m", type=int, required=True, help="filtration level")
     p_gr.add_argument("--deg-window", type=int, default=graded.DEFAULT_TABLE_RADIUS)
     p_gr.add_argument("--window-cap", type=int, default=graded.DEFAULT_WINDOW_CAP)
     p_gr.set_defaults(func=cmd_gr)
 
-    p_red = sub.add_parser("reduce", help="canonical representative of an element")
-    _add_params_flags(p_red)
+    p_red = sub.add_parser("reduce", parents=[params],
+                           help="canonical representative of an element")
     p_red.add_argument("--m", type=int, required=True)
     p_red.add_argument("--w1", type=str, required=True, help="degree q-1 form text")
     p_red.add_argument("--w2", type=str, default=None, help="degree q-2 form text")
     p_red.add_argument("--window-cap", type=int, default=graded.DEFAULT_WINDOW_CAP)
     p_red.set_defaults(func=cmd_reduce)
 
-    p_sym = sub.add_parser("symbol", help="evaluate a restricted symbol")
-    _add_params_flags(p_sym)
+    p_sym = sub.add_parser("symbol", parents=[params], help="evaluate a restricted symbol")
     p_sym.add_argument("--symbol", type=str, required=True,
                        help="{1+pi^M*(element); entry; ...} with entries monomials or 'pi'")
     p_sym.set_defaults(func=cmd_symbol)
@@ -150,9 +149,8 @@ def build_parser():
     p_ver.add_argument("--N", type=int, default=None, help="cutoff (default c_n + 3)")
     p_ver.set_defaults(func=cmd_verify_q1)
 
-    p_shift = sub.add_parser("shift-check",
+    p_shift = sub.add_parser("shift-check", parents=[params],
                              help="compare presentations at (n, m) and (n-1, m-e)")
-    _add_params_flags(p_shift)
     p_shift.add_argument("--m", type=int, required=True)
     p_shift.add_argument("--probe", action="append", default=[], metavar="W1;W2",
                          help="element (w1, w2) whose zero test must agree at both "

@@ -239,6 +239,9 @@ class KContext:
         self.r = r
         # (alpha mod p, q) -> Koszul slice data, filled by forms.koszul_slice
         self.koszul_memo = {}
+        # (q, z_level, terms of a) -> Case II table entries, filled by
+        # graded._ac_closure_entries; shared by every level, so read-only
+        self.ac_closure_memo = {}
 
     def zero(self):
         return LaurentPoly(self, {})

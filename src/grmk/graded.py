@@ -137,9 +137,9 @@ class CDVFParams:
     def with_level(self, n):
         """These parameters at modulus exponent n.
 
-        The residue field context (with its Koszul memo) and a are shared
-        with self: neither depends on n.  The descriptors do, so the copy
-        starts with none.
+        The residue field context (with its Koszul and Case II closure
+        memos) and a are shared with self: neither depends on n.  The
+        descriptors do, so the copy starts with none.
         """
         _check_level(self.p, self.e, n)
         low = copy.copy(self)
@@ -604,13 +604,24 @@ def _ac_closure_entries(desc):
     contraction, so the trailing slices are its multiples of p with an
     image whose sort key is at most their own, and the cap is compared
     with the ball size (2R+1)^r; no window is built.
+
+    The entries depend on the residue field, q, z_level and a alone, not on
+    m, e or n, so they are kept in kctx.ac_closure_memo under (q, z_level,
+    terms of a): every Case II level with the same z_level, both sides of a
+    Case II shift-check among them, shares one dict, so treat it as
+    read-only.  The cap is checked on every call, before the lookup; the
+    closure lies in the ball, so _ac_closure's own check cannot fire after.
     """
     params = desc.params
     p, f, r = params.p, params.f, params.r
     radius = _shift_bound(params)
     cap = desc.window_cap
+    memo = params.kctx.ac_closure_memo
+    memo_key = (params.q, desc.z_level, frozenset(params.a.terms.items()))
     if (2 * radius + 1) ** r > cap:
         raise WindowOverflow(f"degree window exceeded the configured cap {cap}")
+    if memo_key in memo:
+        return memo[memo_key]
     multiples = range(-(radius // p) * p, radius + 1, p)
     trailing = []
     for gamma in itertools.product(multiples, repeat=r):
@@ -626,6 +637,7 @@ def _ac_closure_entries(desc):
             entries[gamma] += f * nsub
         for piv in space.rows:
             entries[reach[piv // (nsub * f)]] -= 1
+    memo[memo_key] = entries
     return entries
 
 
@@ -652,8 +664,8 @@ def dim_values(desc, radius=DEFAULT_TABLE_RADIUS):
     every beta is such a multiple.  Case II then sets the exact entries on
     the closure of the slices whose (1+aC) rows trail in the contraction
     ball (_ac_closure_entries) that fall in the box, by mixed-radix index.
-    So a table costs two slice counts plus one elimination of that closure,
-    however large radius is, and builds no degree tuple outside it.
+    So a table costs two slice counts plus at most one elimination of that
+    closure, however large radius is, and builds no degree tuple outside it.
     """
     _check_radius(radius)
     params = desc.params

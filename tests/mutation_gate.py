@@ -66,6 +66,17 @@ MUTANTS = [
     ("case-ii-minus-a", "grmk/graded.py",
      "fq.mul(a_code, root)", "fq.mul(fq.neg(a_code), root)",
      "tests/test_oracle.py::TestElementsAtRZero"),
+    ("closure-memo-key-without-z-level", "grmk/graded.py",
+     "memo_key = (params.q, desc.z_level, frozenset(params.a.terms.items()))",
+     "memo_key = (params.q, frozenset(params.a.terms.items()))",
+     "tests/test_graded.py::TestTablesByClass::test_warm_tables_match_cold_at_every_case_ii_level"),
+    ("closure-memo-key-without-a", "grmk/graded.py",
+     "memo_key = (params.q, desc.z_level, frozenset(params.a.terms.items()))",
+     "memo_key = (params.q, desc.z_level)",
+     "tests/test_graded.py::TestTablesByClass::test_warm_tables_match_cold_for_two_values_of_a"),
+    ("closure-memo-hit-skips-the-cap", "grmk/graded.py",
+     "if (2 * radius + 1) ** r > cap:", "if memo_key not in memo and (2 * radius + 1) ** r > cap:",
+     "tests/test_graded.py::TestTablesByClass::test_window_cap_bounds_only_the_ball"),
 ]
 
 

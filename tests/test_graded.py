@@ -502,6 +502,13 @@ def _table_as(p, f, r):
     return out
 
 
+def _tables_over(monkeypatch, kctx_of, contexts):
+    """dim_values at each (CDVFParams arguments, m), with the residue field
+    context of each CDVFParams taken from kctx_of(p, f, r)."""
+    monkeypatch.setattr("grmk.graded.residue_field", kctx_of)
+    return [dim_values(descriptor(CDVFParams(*args), m)) for args, m in contexts]
+
+
 class TestTablesByClass:
     # graded_order computes a slice once per residue class and corrects
     # Case II from the rows that trail in the contraction ball; its tables
@@ -545,7 +552,9 @@ class TestTablesByClass:
     def test_window_cap_bounds_only_the_ball(self, capsys):
         # a = t1^1 at p = 2 has the ball |beta| <= 2 of 5^r slices; the box
         # of radius 3 has 7^r.  m = 4 and 6 are the Case II levels c1, c2,
-        # so shift-check at m = 6 builds two Case II tables
+        # so shift-check at m = 6 builds two Case II tables.  The table at
+        # cap ball - 1 finds the closure memo entry filled at cap ball, so
+        # the cap must be checked before the lookup
         for r in (1, 2, 3):
             P = CDVFParams(2, 1, r, 2, 2, 1, "t1^1")
             ball = 5 ** r
@@ -578,16 +587,18 @@ class TestTablesByClass:
             return _ac_closure(params, slices, cap)
 
         monkeypatch.setattr("grmk.graded._ac_closure", recording_closure)
+        # a fresh KContext per descriptor: levels with the same z_level share
+        # one closure memo entry, and each call below must fill its own
+        monkeypatch.setattr("grmk.graded.residue_field", KContext)
+        contexts = [(p, f, r, e, n, 2, a) for p, f, e, n in _TABLE_FIELDS
+                    for r in (0, 1, 2, 3) for a in _table_as(p, f, r)]
+        contexts += [(2, 1, 4, 4, 2, 3, "t1^1"), (3, 1, 3, 6, 2, 2, "t1^1"),
+                     (2, 2, 3, 4, 2, 3, "g^1*t1^1")]
         descs = []
-        for p, f, e, n in _TABLE_FIELDS:
-            for r in (0, 1, 2, 3):
-                for a in _table_as(p, f, r):
-                    P = CDVFParams(p, f, r, e, n, 2, a)
-                    descs += [descriptor(P, P.threshold(i)) for i in range(1, n + 1)]
-        for p, f, r, e, n, q, a in [(2, 1, 4, 4, 2, 3, "t1^1"), (3, 1, 3, 6, 2, 2, "t1^1"),
-                                    (2, 2, 3, 4, 2, 3, "g^1*t1^1")]:
-            P = CDVFParams(p, f, r, e, n, q, a)
-            descs += [descriptor(P, P.threshold(i)) for i in range(1, n + 1)]
+        for args in contexts:
+            for i in range(1, args[4] + 1):
+                P = CDVFParams(*args)
+                descs.append(descriptor(P, P.threshold(i)))
         for desc in descs:
             assert desc.branch == "ac", desc.params
             # the reference builds the ball through _ac_closure too
@@ -596,6 +607,46 @@ class TestTablesByClass:
             entries = _ac_closure_entries(desc)
             assert seeds == [want], (desc.params, desc.m)
             assert set(entries) == _trailing_closure(desc), (desc.params, desc.m)
+
+    def test_warm_tables_match_cold_at_every_case_ii_level(self, monkeypatch):
+        # n = 3 has z_level 2 at c_1 = 8 and 1 at c_2 = 12 and c_3 = 16: one
+        # shared context fills two closure memo entries and reads one back,
+        # and every table equals the one of a fresh context
+        contexts = [((2, 1, 2, 4, 3, 2, "t1^1"), m) for m in (8, 12, 16)]
+        cold = _tables_over(monkeypatch, KContext, contexts)
+        assert [sum(t) for t in cold] == [97, 83, 83]
+        shared = KContext(2, 1, 2)
+        assert _tables_over(monkeypatch, lambda p, f, r: shared, contexts) == cold
+        assert len(shared.ac_closure_memo) == 2
+
+    def test_warm_tables_match_cold_for_two_values_of_a(self, monkeypatch):
+        # the same field and z_level, two values of a: one memo entry each
+        contexts = [((2, 1, 2, 4, 3, 2, a), m) for a in ("t1^1", "t2^-2") for m in (12, 16)]
+        cold = _tables_over(monkeypatch, KContext, contexts)
+        assert [sum(t) for t in cold] == [83, 83, 80, 80]
+        shared = KContext(2, 1, 2)
+        assert _tables_over(monkeypatch, lambda p, f, r: shared, contexts) == cold
+        assert len(shared.ac_closure_memo) == 2
+
+    def test_gr_and_shift_check_share_one_closure(self, monkeypatch, capsys):
+        # at n = 2, z_level is 1 at c_1 = 8 and c_2 = 12, and at c_1 of n = 1,
+        # the low side of shift-check at m = 12: the three commands eliminate
+        # the trailing closure once, one relation space per form degree
+        shared = KContext(2, 1, 2)
+        monkeypatch.setattr("grmk.graded.residue_field", lambda p, f, r: shared)
+        degs = []
+
+        def recording_space(desc, deg, slices):
+            degs.append(deg)
+            return _ac_relation_space(desc, deg, slices)
+
+        monkeypatch.setattr("grmk.graded._ac_relation_space", recording_space)
+        argv = ["--p", "2", "--r", "2", "--e", "4", "--n", "2", "--q", "2", "--a", "t1^1"]
+        assert cli.main(["gr", *argv, "--m", "8"]) == 0
+        assert cli.main(["gr", *argv, "--m", "12"]) == 0
+        assert cli.main(["shift-check", *argv, "--m", "12"]) == 0
+        assert "consistent: yes" in capsys.readouterr().out.splitlines()
+        assert len(shared.ac_closure_memo) == 1 and degs == [1, 0]
 
     def test_not_closed_row_outside_the_ball_raises(self, monkeypatch):
         # a = 1 gives the ball {0}, where the Z-slice is whole and no Koszul
@@ -621,7 +672,10 @@ class TestTablesByClass:
 
     def test_relation_space_only_on_the_trailing_closure(self, monkeypatch):
         # a Case II table eliminates (1+aC) rows only on the closure of the
-        # trailing slices, which is smaller than the ball once r >= 1
+        # trailing slices, which is smaller than the ball once r >= 1.  Each
+        # descriptor gets a fresh KContext, whose closure memo is empty, so
+        # no earlier table of the same field answers for it
+        monkeypatch.setattr("grmk.graded.residue_field", KContext)
         descs = [descriptor(CDVFParams(p, f, r, e, n, q, a), m)
                  for p, f, r, e, n, q, a, m in [
                      (2, 1, 0, 2, 2, 1, "1", 4), (2, 1, 1, 2, 2, 1, "t1^1", 4),
