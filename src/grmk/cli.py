@@ -176,17 +176,72 @@ USAGE_ERRORS = (ValueError, ParseError, ExponentOverflow, OutOfRangeLevel,
 RUNTIME_ERRORS = (WindowOverflow,)
 
 
-# built on the first `main` call: building costs about ten parses.  It is
-# looked up as `build_parser` at that call, so a wrapper installed on the
-# module attribute sees the one build.
-_parser = None
+# the parser and its flag index, built on the first `main` call: building
+# costs about ten argparse parses.  `build_parser` is looked up at that call,
+# so a wrapper installed on the module attribute sees the one build.
+_parser = _index = None
+
+
+def _flag_index(parser):
+    """Per subcommand, read off its argparse actions: the namespace argparse
+    starts from (the command and every default), each `--FLAG VALUE`
+    option's (dest, type, choices, append) and the dests that must be given."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    index = {}
+    for name, command in sub.choices.items():
+        defaults, flags = {}, {}
+        for a in command._actions:
+            if argparse.SUPPRESS not in (a.dest, a.default):
+                defaults.setdefault(a.dest, a.default)
+            if type(a) in (argparse._StoreAction, argparse._AppendAction) and a.nargs is None:
+                for option in a.option_strings:
+                    flags[option] = (a.dest, a.type or str, a.choices,
+                                     type(a) is argparse._AppendAction)
+        for dest, value in command._defaults.items():
+            defaults.setdefault(dest, value)
+        index[name] = ({sub.dest: name, **defaults}, flags,
+                       {a.dest for a in command._actions if a.required})
+    return index
+
+
+def _parse_flags(index, argv):
+    """The Namespace argparse returns for an argv `COMMAND (--FLAG VALUE)*`
+    whose flags are full option strings of COMMAND, none but `--probe` given
+    twice, whose values are non-empty, do not start with '-', convert and
+    pass their choices, and which has every required flag; else None."""
+    if not argv or argv[0] not in index or len(argv) % 2 == 0:
+        return None
+    defaults, flags, required = index[argv[0]]
+    values = {}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        if flag not in flags or not text or text[0] == "-":
+            return None
+        dest, convert, choices, append = flags[flag]
+        try:
+            value = convert(text)
+        except (TypeError, ValueError):
+            return None
+        if (choices is not None and value not in choices) or (dest in values and not append):
+            return None
+        if append:
+            # argparse appends to a copy of the default, never to the shared list
+            values.setdefault(dest, list(defaults[dest] or ())).append(value)
+        else:
+            values[dest] = value
+    if not required <= values.keys():
+        return None
+    return argparse.Namespace(**{**defaults, **values})
 
 
 def main(argv=None):
-    global _parser
+    global _parser, _index
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
+        _index = _flag_index(_parser)
+    args = _parse_flags(_index, sys.argv[1:] if argv is None else argv)
+    if args is None:
+        # help, abbreviations, --flag=value and every usage error
+        args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except USAGE_ERRORS as exc:

@@ -77,6 +77,16 @@ MUTANTS = [
     ("closure-memo-hit-skips-the-cap", "grmk/graded.py",
      "if (2 * radius + 1) ** r > cap:", "if memo_key not in memo and (2 * radius + 1) ** r > cap:",
      "tests/test_graded.py::TestTablesByClass::test_window_cap_bounds_only_the_ball"),
+    ("probe-appends-to-the-shared-default", "grmk/cli.py",
+     "values.setdefault(dest, list(defaults[dest] or ())).append(value)",
+     "values.setdefault(dest, defaults[dest]).append(value)",
+     "tests/test_cli.py::TestShiftCheckProbes::test_probe_list_is_not_kept_between_runs"),
+    ("fast-path-takes-dash-values", "grmk/cli.py",
+     'if flag not in flags or not text or text[0] == "-":', "if flag not in flags or not text:",
+     "tests/test_cli.py::TestFlagIndex::test_same_namespace_as_argparse"),
+    ("fast-path-without-required-check", "grmk/cli.py",
+     "if not required <= values.keys():", "if False:",
+     "tests/test_cli.py::TestFlagIndex::test_same_namespace_as_argparse"),
 ]
 
 

@@ -1,15 +1,20 @@
+import contextlib
+import importlib.util
+import io
 import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from grmk import cli
 from grmk.forms import NotClosed
 from grmk.selftest import PROPERTIES
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def run_cli(capsys, *argv):
@@ -317,6 +322,100 @@ class TestParser:
         assert len(builds) == 1
 
 
+PARSER = cli.build_parser()
+INDEX = cli._flag_index(PARSER)
+# subcommand name -> its argparse parser, to draw argvs from the real flags
+COMMANDS = next(a.choices for a in PARSER._actions if isinstance(a.choices, dict))
+# values that argparse takes apart from the flags' own: empty, a negative
+# number, a non-number and a form that starts with '-'
+ODD_VALUES = ["", "-1", "x", "-t1^1*dlog[1]"]
+# tokens the fast path must leave to argparse: prefixes, --flag=value,
+# unknown flags, help and the end of options
+ODD_TOKENS = ["--deg", "--w", "--m=4", "--deg-window=1", "--zz", "-h", "--help", "--"]
+
+
+def _good_values(action):
+    """Values argparse converts for the flag of action."""
+    if action.choices is not None:
+        return list(action.choices)
+    return ["0", "3", "12"] if action.type is int else ["t1^1", "1;t1^1"]
+
+
+@st.composite
+def argvs(draw):
+    """An argv from one subcommand's real flags: every required flag and
+    some optional ones with good values in shuffled order, then up to three
+    changes: a flag dropped, repeated or cut to a prefix, an odd value, a
+    `--flag=value`, an odd token or a top-level option."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    actions = [a for a in COMMANDS[command]._actions if a.option_strings and a.nargs != 0]
+    pairs = [[a.option_strings[-1], draw(st.sampled_from(_good_values(a)))]
+             for a in actions if a.required or draw(st.booleans())]
+    pairs, head = draw(st.permutations(pairs)), []
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2, 3]))):
+        change = draw(st.sampled_from(["drop", "repeat", "prefix", "value", "equals",
+                                       "token", "top"]))
+        at = draw(st.integers(0, len(pairs)))
+        if change == "top":
+            head = [draw(st.sampled_from(["-h", "--zz"]))]
+        elif change == "token" or at == len(pairs):
+            pairs.insert(at, [draw(st.sampled_from(ODD_TOKENS))])
+        else:
+            pair = pairs[at]
+            pairs[at:at + 1] = {"drop": [], "repeat": [pair, pair],
+                                "prefix": [[pair[0][:max(3, len(pair[0]) - 2)], *pair[1:]]],
+                                "value": [[pair[0], draw(st.sampled_from(ODD_VALUES))]],
+                                "equals": [["=".join(pair)]]}[change]
+    return head + [command] + [token for pair in pairs for token in pair]
+
+
+def _argparse(argv):
+    """argparse's Namespace for argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return PARSER.parse_args(argv)
+        except SystemExit:
+            return None
+
+
+class TestFlagIndex:
+    @settings(max_examples=400, deadline=None)
+    @given(argvs())
+    @example(["reduce", *BASE, "--m", "5", "--w1", "-t1^1*dlog[1]"])
+    @example(["shift-check", *BASE, "--m", "5", "--probe", "-1;"])
+    @example(["gr", *BASE])
+    @example(["verify-q1", "--n", "2"])
+    @example(["gr", *BASE, "--m", "4", "--m", "5"])
+    @example(["gr", *BASE, "--m", "4", "--format", "json"])
+    @example(["selftest", "--cases", "x"])
+    def test_same_namespace_as_argparse(self, argv):
+        # the fast path declines, or returns exactly what argparse returns;
+        # argparse never rejects an argv the fast path took
+        fast = cli._parse_flags(INDEX, argv)
+        if fast is not None:
+            assert fast == _argparse(argv), argv
+
+    def test_dash_value_stays_an_argparse_error(self, capsys):
+        # a value that starts with '-' is an option to argparse, whatever
+        # the fast path could make of it
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["reduce", *BASE, "--m", "5", "--w1", "-t1^1*dlog[1]"])
+        assert exc.value.code == 2
+        assert "argument --w1: expected one argument" in capsys.readouterr().err
+
+    def test_every_bench_argv_takes_the_fast_path(self):
+        # the benchmark's CLI workloads, read from bench/workloads.py
+        spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                      ROOT / "bench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        ops = workloads.gr_sweep_ops() + workloads.oracle_ops(ROOT)
+        assert len(ops) > 50
+        for op in ops:
+            fast = cli._parse_flags(INDEX, list(op.argv))
+            assert fast is not None and fast == PARSER.parse_args(list(op.argv)), op.key
+
+
 class TestShiftCheck:
     def test_consistent(self, capsys):
         code, out, _ = run_cli(capsys, "shift-check", *BASE, "--m", "5",
@@ -386,6 +485,16 @@ class TestShiftCheckProbes:
         assert [line for line in out.splitlines() if line.startswith("probe_flag:")] == [
             "probe_flag: (t1^1*dlog[1]; t2^1) zero_high=True zero_low=False",
             "probe_flag: (0; t1^2) zero_high=True zero_low=False"]
+
+    def test_probe_list_is_not_kept_between_runs(self, capsys, monkeypatch):
+        # a run with --probe leaves nothing for the next run without it:
+        # its report is that of a run on a freshly built parser
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "_index", None)
+        fresh = run_cli(capsys, "shift-check", *PROBE_BASE)
+        assert fresh[0] == 0
+        assert run_cli(capsys, "shift-check", *PROBE_BASE, "--probe", "t1^1")[0] == 2
+        assert run_cli(capsys, "shift-check", *PROBE_BASE) == fresh
 
     @pytest.mark.parametrize("probe", ["t1^1*dlog[1]", "t1^1;t2^1", "t1^1*dlog[1];t2^1;0",
                                        "t1^1*dlog[2,1];", ";x^1"])
