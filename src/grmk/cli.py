@@ -104,69 +104,69 @@ def cmd_selftest(args):
     return 0 if ok else 1
 
 
+# the flags of CDVFParams, shared by every command that builds one
+PARAMS = (
+    ("--p", dict(type=int, required=True, help="residue characteristic")),
+    ("--f", dict(type=int, default=1, help="residue degree over GF(p)")),
+    ("--r", dict(type=int, default=0, help="p-basis size of the residue field")),
+    ("--e", dict(type=int, required=True, help="absolute ramification index")),
+    ("--n", dict(type=int, required=True, help="modulus exponent of p^n")),
+    ("--q", dict(type=int, default=1, help="symbol degree")),
+    ("--a", dict(type=str, required=True,
+                 help="residue class of p*pi^(-e), in the element grammar")),
+)
+DEG_WINDOW = ("--deg-window", dict(type=int, default=graded.DEFAULT_TABLE_RADIUS))
+WINDOW_CAP = ("--window-cap", dict(type=int, default=graded.DEFAULT_WINDOW_CAP))
+# every value prints the same grmk.v1 report; kept for compatibility
+FORMAT = ("--format", dict(choices=["text", "machine"], default="text"))
+
+# command -> (handler, help, its flags as (option, add_argument keywords)):
+# the one statement of the command line, read by both `_flag_index` and
+# `build_parser`
+COMMANDS = {
+    "gr": (cmd_gr, "classify a level and print its presentation", (
+        *PARAMS, ("--m", dict(type=int, required=True, help="filtration level")),
+        DEG_WINDOW, WINDOW_CAP, FORMAT)),
+    "reduce": (cmd_reduce, "canonical representative of an element", (
+        *PARAMS, ("--m", dict(type=int, required=True)),
+        ("--w1", dict(type=str, required=True, help="degree q-1 form text")),
+        ("--w2", dict(type=str, default=None, help="degree q-2 form text")),
+        WINDOW_CAP, FORMAT)),
+    "symbol": (cmd_symbol, "evaluate a restricted symbol", (
+        *PARAMS,
+        ("--symbol", dict(type=str, required=True, help="{1+pi^M*(element); entry; ...} "
+                                                         "with entries monomials or 'pi'")),
+        FORMAT)),
+    "verify-q1": (cmd_verify_q1, "compare the q = 1 orders with the filtered p-adic "
+                                 "oracle on a fixture field", (
+        ("--fixture", dict(type=str, required=True)),
+        ("--n", dict(type=int, required=True)),
+        ("--N", dict(type=int, default=None, help="cutoff (default c_n + 3)")),
+        FORMAT)),
+    "shift-check": (cmd_shift_check, "compare presentations at (n, m) and (n-1, m-e)", (
+        *PARAMS, ("--m", dict(type=int, required=True)),
+        ("--probe", dict(action="append", default=[], metavar="W1;W2",
+                         help="element (w1, w2) whose zero test must agree at both "
+                              "levels; an empty side is 0 (repeatable)")),
+        DEG_WINDOW, WINDOW_CAP, FORMAT)),
+    "selftest": (cmd_selftest, "run the seeded property suites", (
+        ("--seed", dict(type=int, default=7)),
+        ("--cases", dict(type=int, default=50)),
+        FORMAT)),
+}
+
+
 def build_parser():
+    """The argparse parser of COMMANDS, for help texts and usage errors."""
     parser = argparse.ArgumentParser(
         prog="grmk",
         description="graded quotients of unit-filtered Milnor K-groups mod p^n")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    # the flags of CDVFParams, shared by every command that builds one
-    params = argparse.ArgumentParser(add_help=False)
-    params.add_argument("--p", type=int, required=True, help="residue characteristic")
-    params.add_argument("--f", type=int, default=1, help="residue degree over GF(p)")
-    params.add_argument("--r", type=int, default=0, help="p-basis size of the residue field")
-    params.add_argument("--e", type=int, required=True, help="absolute ramification index")
-    params.add_argument("--n", type=int, required=True, help="modulus exponent of p^n")
-    params.add_argument("--q", type=int, default=1, help="symbol degree")
-    params.add_argument("--a", type=str, required=True,
-                        help="residue class of p*pi^(-e), in the element grammar")
-
-    p_gr = sub.add_parser("gr", parents=[params],
-                          help="classify a level and print its presentation")
-    p_gr.add_argument("--m", type=int, required=True, help="filtration level")
-    p_gr.add_argument("--deg-window", type=int, default=graded.DEFAULT_TABLE_RADIUS)
-    p_gr.add_argument("--window-cap", type=int, default=graded.DEFAULT_WINDOW_CAP)
-    p_gr.set_defaults(func=cmd_gr)
-
-    p_red = sub.add_parser("reduce", parents=[params],
-                           help="canonical representative of an element")
-    p_red.add_argument("--m", type=int, required=True)
-    p_red.add_argument("--w1", type=str, required=True, help="degree q-1 form text")
-    p_red.add_argument("--w2", type=str, default=None, help="degree q-2 form text")
-    p_red.add_argument("--window-cap", type=int, default=graded.DEFAULT_WINDOW_CAP)
-    p_red.set_defaults(func=cmd_reduce)
-
-    p_sym = sub.add_parser("symbol", parents=[params], help="evaluate a restricted symbol")
-    p_sym.add_argument("--symbol", type=str, required=True,
-                       help="{1+pi^M*(element); entry; ...} with entries monomials or 'pi'")
-    p_sym.set_defaults(func=cmd_symbol)
-
-    p_ver = sub.add_parser(
-        "verify-q1",
-        help="compare the q = 1 orders with the filtered p-adic oracle on a fixture field")
-    p_ver.add_argument("--fixture", type=str, required=True)
-    p_ver.add_argument("--n", type=int, required=True)
-    p_ver.add_argument("--N", type=int, default=None, help="cutoff (default c_n + 3)")
-    p_ver.set_defaults(func=cmd_verify_q1)
-
-    p_shift = sub.add_parser("shift-check", parents=[params],
-                             help="compare presentations at (n, m) and (n-1, m-e)")
-    p_shift.add_argument("--m", type=int, required=True)
-    p_shift.add_argument("--probe", action="append", default=[], metavar="W1;W2",
-                         help="element (w1, w2) whose zero test must agree at both "
-                              "levels; an empty side is 0 (repeatable)")
-    p_shift.add_argument("--deg-window", type=int, default=graded.DEFAULT_TABLE_RADIUS)
-    p_shift.add_argument("--window-cap", type=int, default=graded.DEFAULT_WINDOW_CAP)
-    p_shift.set_defaults(func=cmd_shift_check)
-
-    p_self = sub.add_parser("selftest", help="run the seeded property suites")
-    p_self.add_argument("--seed", type=int, default=7)
-    p_self.add_argument("--cases", type=int, default=50)
-    p_self.set_defaults(func=cmd_selftest)
-
-    # every value prints the same grmk.v1 report; kept for compatibility
-    for command in sub.choices.values():
-        command.add_argument("--format", choices=["text", "machine"], default="text")
+    for name, (func, help_text, flags) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for option, kwargs in flags:
+            command.add_argument(option, **kwargs)
+        command.set_defaults(func=func)
     return parser
 
 
@@ -176,31 +176,28 @@ USAGE_ERRORS = (ValueError, ParseError, ExponentOverflow, OutOfRangeLevel,
 RUNTIME_ERRORS = (WindowOverflow,)
 
 
-# the parser and its flag index, built on the first `main` call: building
-# costs about ten argparse parses.  `build_parser` is looked up at that call,
-# so a wrapper installed on the module attribute sees the one build.
+# the flag index, built on the first `main` call, and the argparse parser,
+# built on the first argv the index cannot parse (a build costs about ten
+# argparse parses).  `build_parser` is looked up at that call, so a wrapper
+# installed on the module attribute sees the one build.
 _parser = _index = None
 
 
-def _flag_index(parser):
-    """Per subcommand, read off its argparse actions: the namespace argparse
-    starts from (the command and every default), each `--FLAG VALUE`
-    option's (dest, type, choices, append) and the dests that must be given."""
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+def _flag_index():
+    """Per subcommand of COMMANDS: the namespace argparse starts from (the
+    command, its handler and every default), each flag's (dest, type,
+    choices, append) and the dests that must be given."""
     index = {}
-    for name, command in sub.choices.items():
-        defaults, flags = {}, {}
-        for a in command._actions:
-            if argparse.SUPPRESS not in (a.dest, a.default):
-                defaults.setdefault(a.dest, a.default)
-            if type(a) in (argparse._StoreAction, argparse._AppendAction) and a.nargs is None:
-                for option in a.option_strings:
-                    flags[option] = (a.dest, a.type or str, a.choices,
-                                     type(a) is argparse._AppendAction)
-        for dest, value in command._defaults.items():
-            defaults.setdefault(dest, value)
-        index[name] = ({sub.dest: name, **defaults}, flags,
-                       {a.dest for a in command._actions if a.required})
+    for name, (func, _, flags) in COMMANDS.items():
+        defaults, spec, required = {"command": name, "func": func}, {}, set()
+        for option, kwargs in flags:
+            dest = option.lstrip("-").replace("-", "_")
+            defaults[dest] = kwargs.get("default")
+            spec[option] = (dest, kwargs.get("type", str), kwargs.get("choices"),
+                            kwargs.get("action") == "append")
+            if kwargs.get("required"):
+                required.add(dest)
+        index[name] = (defaults, spec, required)
     return index
 
 
@@ -235,12 +232,13 @@ def _parse_flags(index, argv):
 
 def main(argv=None):
     global _parser, _index
-    if _parser is None:
-        _parser = build_parser()
-        _index = _flag_index(_parser)
+    if _index is None:
+        _index = _flag_index()
     args = _parse_flags(_index, sys.argv[1:] if argv is None else argv)
     if args is None:
         # help, abbreviations, --flag=value and every usage error
+        if _parser is None:
+            _parser = build_parser()
         args = _parser.parse_args(argv)
     try:
         return args.func(args)

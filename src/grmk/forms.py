@@ -469,7 +469,10 @@ def parse_form(kctx, q, text):
     total = {}
     for fterm in text.split("+"):
         if "dlog[" in fterm:
-            elem_text, _, rest = fterm.partition("*dlog[")
+            elem_text, sep, rest = fterm.partition("*dlog[")
+            if not sep:
+                raise ParseError("dlog[...] needs an element and '*' before it, "
+                                 "as in 1*dlog[...]", fterm)
             if not rest.endswith("]"):
                 raise ParseError("missing ']' after dlog[", fterm)
             idx_text = rest[:-1]

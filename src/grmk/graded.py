@@ -42,7 +42,7 @@ import itertools
 import math
 import re
 
-from .ffield import LaurentPoly, parse_element, residue_field
+from .ffield import LaurentPoly, format_element, parse_element, residue_field
 from .forms import (B_KIND, Z_KIND, DiffForm, cartier, d, format_form,
                     from_slice_vectors, in_Z, inv_cartier_iter, koszul_nf,
                     slice_vectors, subsets_of, subspace_basis, tower_nf,
@@ -726,8 +726,10 @@ class SymbolExpr:
         for t in tail:
             if t == PRIME:
                 continue
-            if not isinstance(t, LaurentPoly) or len(t.terms) != 1:
-                raise MalformedSymbol(f"tail entry {t!r} is not a monomial")
+            if not isinstance(t, LaurentPoly):
+                raise MalformedSymbol(f"tail entry {t!r} is not an element of k")
+            if len(t.terms) != 1:
+                raise MalformedSymbol(f"tail entry {format_element(t)!r} is not a monomial")
         self.m = m
         self.u = u
         self.tail = list(tail)
@@ -796,8 +798,6 @@ def parse_symbol(kctx, text):
 
 
 def format_symbol(sym):
-    from .ffield import format_element
-
     parts = [f"1+pi^{sym.m}*({format_element(sym.u)})"]
     for t in sym.tail:
         parts.append("pi" if t == PRIME else format_element(t))

@@ -103,9 +103,17 @@ def load_fixture(path):
     for key in ("p", "coeffs"):
         if key not in data:
             raise ValueError(f"fixture {path} has no '{key}:' line")
-    p = int(data["p"])
-    f = int(data.get("f", "1"))
-    coeffs = [int(x) for x in data["coeffs"].split()]
+    data.setdefault("f", "1")
+
+    def parse(key, convert=int):
+        try:
+            return convert(data[key])
+        except ValueError:
+            raise ValueError(f"fixture {path}: cannot read '{key}: {data[key]}' "
+                             "as integers") from None
+
+    p, f = parse("p"), parse("f")
+    coeffs = parse("coeffs", lambda text: [int(x) for x in text.split()])
     return EisensteinPoly(p, f, coeffs)
 
 

@@ -3,8 +3,9 @@
     python3 tests/mutation_gate.py
 
 A mutant is (name, file under src/, exact old snippet, new snippet, pytest
-selector).  For each one the gate copies src/, tests/ and fixtures/ to a
-temporary directory, replaces the snippet in the copy of src/ and runs the
+selector).  For each one the gate copies src/, tests/, fixtures/ and bench/
+(the CLI tests read the benchmark's argvs and fields) to a temporary
+directory, replaces the snippet in the copy of src/ and runs the
 selector there with PYTHONPATH on that copy (the copied tests/conftest.py
 puts the copied src/ first on sys.path, so the copy is the one imported).
 The selector must fail, and every selector must first pass on an unmutated
@@ -87,6 +88,14 @@ MUTANTS = [
     ("fast-path-without-required-check", "grmk/cli.py",
      "if not required <= values.keys():", "if False:",
      "tests/test_cli.py::TestFlagIndex::test_same_namespace_as_argparse"),
+    ("parser-built-before-the-fast-path", "grmk/cli.py",
+     "    args = _parse_flags(_index, sys.argv[1:] if argv is None else argv)\n",
+     "    _parser = _parser or build_parser()\n"
+     "    args = _parse_flags(_index, sys.argv[1:] if argv is None else argv)\n",
+     "tests/test_cli.py::TestParser::test_well_formed_argvs_build_no_parser"),
+    ("probe-flag-not-appended", "grmk/cli.py",
+     'dict(action="append", ', "dict(",
+     "tests/test_cli.py::TestReferenceParser::test_same_parse_as_reference"),
 ]
 
 
@@ -102,11 +111,11 @@ def check_snippets():
 
 def run_on_copy(selectors, path=None, old=None, new=None):
     """pytest's exit code for the selectors on a copy of the repository's
-    src/, tests/ and fixtures/, with old replaced by new in the file at path
+    src/, tests/, fixtures/ and bench/, with old replaced by new in the file at path
     under src/ when one is given."""
     with tempfile.TemporaryDirectory(prefix="grmk-mutant-") as tmp:
         copy = pathlib.Path(tmp)
-        for part in ("src", "tests", "fixtures"):
+        for part in ("src", "tests", "fixtures", "bench"):
             shutil.copytree(ROOT / part, copy / part,
                             ignore=shutil.ignore_patterns("__pycache__"))
         if path is not None:

@@ -1,15 +1,20 @@
 """Test-only references, kept out of the package: helpers on the oracle's
 O_K/(pi^N), a monomial d, a dense Gauss-Jordan elimination, the
-slice-diagonal quotient by elimination, the Case I reduction slice by slice
-and the `dim[...]` rows by pattern.
+slice-diagonal quotient by elimination, the Case I reduction slice by slice,
+the `dim[...]` rows by pattern and the command-line parser written out flag
+by flag.
 
 These helpers return values for the tests to assert on; they assert nothing
 themselves, since pytest rewrites asserts only in test modules and python -O
 strips the rest.
 """
 
+import argparse
 import itertools
 
+from grmk import graded
+from grmk.cli import (cmd_gr, cmd_reduce, cmd_selftest, cmd_shift_check,
+                      cmd_symbol, cmd_verify_q1)
 from grmk.forms import (B_KIND, Z_KIND, DiffForm, from_slice_vectors,
                         slice_vectors, subsets_of, subspace_basis)
 from grmk.graded import GrElement, _theta_relation_space, theta
@@ -153,3 +158,71 @@ def dim_rows(table, r):
     one `%` pattern per table, filled row by row in sorted key order."""
     row = "dim[" + ",".join(["%d"] * r) + "]: %d"
     return [row % (*beta, table[beta]) for beta in sorted(table)]
+
+
+def build_parser():
+    """The argparse parser of `grmk`, each subcommand's flags added one by
+    one, for comparison with the parser cli builds from its flag table."""
+    parser = argparse.ArgumentParser(
+        prog="grmk",
+        description="graded quotients of unit-filtered Milnor K-groups mod p^n")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    # the flags of CDVFParams, shared by every command that builds one
+    params = argparse.ArgumentParser(add_help=False)
+    params.add_argument("--p", type=int, required=True, help="residue characteristic")
+    params.add_argument("--f", type=int, default=1, help="residue degree over GF(p)")
+    params.add_argument("--r", type=int, default=0, help="p-basis size of the residue field")
+    params.add_argument("--e", type=int, required=True, help="absolute ramification index")
+    params.add_argument("--n", type=int, required=True, help="modulus exponent of p^n")
+    params.add_argument("--q", type=int, default=1, help="symbol degree")
+    params.add_argument("--a", type=str, required=True,
+                        help="residue class of p*pi^(-e), in the element grammar")
+
+    p_gr = sub.add_parser("gr", parents=[params],
+                          help="classify a level and print its presentation")
+    p_gr.add_argument("--m", type=int, required=True, help="filtration level")
+    p_gr.add_argument("--deg-window", type=int, default=graded.DEFAULT_TABLE_RADIUS)
+    p_gr.add_argument("--window-cap", type=int, default=graded.DEFAULT_WINDOW_CAP)
+    p_gr.set_defaults(func=cmd_gr)
+
+    p_red = sub.add_parser("reduce", parents=[params],
+                           help="canonical representative of an element")
+    p_red.add_argument("--m", type=int, required=True)
+    p_red.add_argument("--w1", type=str, required=True, help="degree q-1 form text")
+    p_red.add_argument("--w2", type=str, default=None, help="degree q-2 form text")
+    p_red.add_argument("--window-cap", type=int, default=graded.DEFAULT_WINDOW_CAP)
+    p_red.set_defaults(func=cmd_reduce)
+
+    p_sym = sub.add_parser("symbol", parents=[params], help="evaluate a restricted symbol")
+    p_sym.add_argument("--symbol", type=str, required=True,
+                       help="{1+pi^M*(element); entry; ...} with entries monomials or 'pi'")
+    p_sym.set_defaults(func=cmd_symbol)
+
+    p_ver = sub.add_parser(
+        "verify-q1",
+        help="compare the q = 1 orders with the filtered p-adic oracle on a fixture field")
+    p_ver.add_argument("--fixture", type=str, required=True)
+    p_ver.add_argument("--n", type=int, required=True)
+    p_ver.add_argument("--N", type=int, default=None, help="cutoff (default c_n + 3)")
+    p_ver.set_defaults(func=cmd_verify_q1)
+
+    p_shift = sub.add_parser("shift-check", parents=[params],
+                             help="compare presentations at (n, m) and (n-1, m-e)")
+    p_shift.add_argument("--m", type=int, required=True)
+    p_shift.add_argument("--probe", action="append", default=[], metavar="W1;W2",
+                         help="element (w1, w2) whose zero test must agree at both "
+                              "levels; an empty side is 0 (repeatable)")
+    p_shift.add_argument("--deg-window", type=int, default=graded.DEFAULT_TABLE_RADIUS)
+    p_shift.add_argument("--window-cap", type=int, default=graded.DEFAULT_WINDOW_CAP)
+    p_shift.set_defaults(func=cmd_shift_check)
+
+    p_self = sub.add_parser("selftest", help="run the seeded property suites")
+    p_self.add_argument("--seed", type=int, default=7)
+    p_self.add_argument("--cases", type=int, default=50)
+    p_self.set_defaults(func=cmd_selftest)
+
+    # every value prints the same grmk.v1 report; kept for compatibility
+    for command in sub.choices.values():
+        command.add_argument("--format", choices=["text", "machine"], default="text")
+    return parser

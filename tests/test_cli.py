@@ -13,6 +13,8 @@ from grmk import cli
 from grmk.forms import NotClosed
 from grmk.selftest import PROPERTIES
 
+import reference
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
@@ -158,6 +160,14 @@ class TestReduce:
         code, _, err = run_cli(capsys, "reduce", *BASE, "--m", "5", "--w1", "t9^1")
         assert code == 2 and "error:" in err
 
+    def test_bare_dlog_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "reduce", "--p", "2", "--r", "1", "--e", "2",
+                                 "--n", "2", "--q", "2", "--a", "1", "--m", "4",
+                                 "--w1", "dlog[1]")
+        assert (code, out) == (2, "")
+        assert err == ("error: dlog[...] needs an element and '*' before it, "
+                       "as in 1*dlog[...] (at 'dlog[1]')\n")
+
     def test_exponent_overflow_is_a_usage_error(self):
         # 2^40 + 1 is past the exponent bound: one error line, exit 2
         argv = ["reduce", "--p", "2", "--r", "2", "--e", "4", "--n", "2",
@@ -196,6 +206,14 @@ class TestSymbol:
         code, _, err = run_cli(capsys, "symbol", *args,
                                "--symbol", "{1+pi^2*(1);pi;pi}")
         assert code == 2 and "error:" in err
+
+    @pytest.mark.parametrize("entry", ["0", "1+t1^1"])
+    def test_tail_entry_printed_in_the_element_grammar(self, capsys, entry):
+        code, out, err = run_cli(capsys, "symbol", "--p", "2", "--r", "1", "--e", "2",
+                                 "--n", "2", "--q", "2", "--a", "1",
+                                 "--symbol", f"{{1+pi^3*(t1^1);{entry}}}")
+        assert (code, out) == (2, "")
+        assert err == f"error: tail entry '{entry}' is not a monomial\n"
 
 
 GOLDEN_VERIFY_Q2I = """\
@@ -290,19 +308,35 @@ class TestVerifyQ1:
         assert "m=5: oracle=1 engine=2 match=no" in out
 
 
+def parser_argvs(fixtures_dir):
+    fixture = str(fixtures_dir / "q2_gaussian.field")
+    return [
+        ["gr", *BASE, "--m", "4"],
+        ["gr", *BASE],                                         # no --m
+        ["verify-q1", "--fixture", fixture, "--n", "2", "--cap", "64"],
+        ["verify-q1", "--fixture", fixture, "--n", "2", "--N", "5"],
+        ["selftest", "--cases", "0"],
+        ["verify-q1", "--fixture", fixture, "--n", "2"],
+        ["gr", *BASE, "--m", "7"],
+    ]
+
+
+def bench_argvs():
+    """The argv of every gr-sweep and oracle-q1 op, read from
+    bench/workloads.py by file path."""
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    ops = workloads.gr_sweep_ops() + workloads.oracle_ops(ROOT)
+    assert len(ops) > 50
+    return {op.key: list(op.argv) for op in ops}
+
+
 class TestParser:
     def test_built_once_and_same_output_as_fresh_runs(self, capsys, monkeypatch,
                                                       fixtures_dir):
-        fixture = str(fixtures_dir / "q2_gaussian.field")
-        argvs = [
-            ["gr", *BASE, "--m", "4"],
-            ["gr", *BASE],                                         # no --m
-            ["verify-q1", "--fixture", fixture, "--n", "2", "--cap", "64"],
-            ["verify-q1", "--fixture", fixture, "--n", "2", "--N", "5"],
-            ["selftest", "--cases", "0"],
-            ["verify-q1", "--fixture", fixture, "--n", "2"],
-            ["gr", *BASE, "--m", "7"],
-        ]
+        argvs = parser_argvs(fixtures_dir)
         builds = []
         build = cli.build_parser
         monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
@@ -321,9 +355,77 @@ class TestParser:
                 fresh.returncode, fresh.stdout, fresh.stderr), argv
         assert len(builds) == 1
 
+    def test_well_formed_argvs_build_no_parser(self, capsys, monkeypatch):
+        # every benchmark argv is answered from the flag table alone; the
+        # first fallback builds the parser, and no later one builds it again
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "_index", None)
+        for argv in bench_argvs().values():
+            assert cli.main(argv) in (0, 1), argv
+        capsys.readouterr()
+        assert builds == []
+        for _ in range(2):
+            code, out, _ = run_cli(capsys, "gr", *BASE, "--m", "4", "--deg", "1")
+            assert code == 0 and out.startswith("format: grmk.v1\n")
+        assert builds == [1]
+
+
+def _outcome(parser, argv):
+    """parser's Namespace for argv, or (exit code, stdout, stderr) where it
+    exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return parser.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+class TestReferenceParser:
+    """The parser built from cli's flag table against tests/reference.py's
+    parser, whose flags are added one by one: the same help, usage, errors
+    and Namespaces on the running Python, whose argparse version decides
+    how help is laid out."""
+
+    def test_same_help_and_usage(self):
+        ours, ref = cli.build_parser(), reference.build_parser()
+        assert ours.format_help() == ref.format_help()
+        assert ours.format_usage() == ref.format_usage()
+        commands = next(a.choices for a in ours._actions if isinstance(a.choices, dict))
+        ref_commands = next(a.choices for a in ref._actions if isinstance(a.choices, dict))
+        assert list(commands) == list(ref_commands)
+        for name, command in commands.items():
+            assert command.format_help() == ref_commands[name].format_help(), name
+            assert command.format_usage() == ref_commands[name].format_usage(), name
+
+    def test_same_parse_as_reference(self, fixtures_dir):
+        ours, ref = cli.build_parser(), reference.build_parser()
+        index = cli._flag_index()
+        wellformed = {
+            "gr": ["gr", *BASE, "--m", "4"],
+            "reduce": ["reduce", *BASE, "--m", "4", "--w1", "1"],
+            "symbol": ["symbol", *BASE, "--symbol", "{1+pi^3*(1)}"],
+            "verify-q1": ["verify-q1", "--fixture", "x.field", "--n", "1"],
+            "shift-check": ["shift-check", *BASE, "--m", "5", "--probe", "1;", "--probe", ";1"],
+            "selftest": ["selftest"],
+        }
+        argvs = [*bench_argvs().values(), *parser_argvs(fixtures_dir), *wellformed.values(),
+                 [], ["--zz"], ["-h"]]
+        for argv in wellformed.values():
+            for token in ODD_TOKENS:
+                argvs += [argv + [token], argv + [token, "1"], argv[:1] + [token]]
+        for argv in argvs:
+            want = _outcome(ref, argv)
+            assert _outcome(ours, argv) == want, argv
+            fast = cli._parse_flags(index, argv)
+            assert fast is None or fast == want, argv
+
 
 PARSER = cli.build_parser()
-INDEX = cli._flag_index(PARSER)
+INDEX = cli._flag_index()
 # subcommand name -> its argparse parser, to draw argvs from the real flags
 COMMANDS = next(a.choices for a in PARSER._actions if isinstance(a.choices, dict))
 # values that argparse takes apart from the flags' own: empty, a negative
@@ -369,15 +471,6 @@ def argvs(draw):
     return head + [command] + [token for pair in pairs for token in pair]
 
 
-def _argparse(argv):
-    """argparse's Namespace for argv, or None where it exits."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            return PARSER.parse_args(argv)
-        except SystemExit:
-            return None
-
-
 class TestFlagIndex:
     @settings(max_examples=400, deadline=None)
     @given(argvs())
@@ -393,7 +486,7 @@ class TestFlagIndex:
         # argparse never rejects an argv the fast path took
         fast = cli._parse_flags(INDEX, argv)
         if fast is not None:
-            assert fast == _argparse(argv), argv
+            assert fast == _outcome(PARSER, argv), argv
 
     def test_dash_value_stays_an_argparse_error(self, capsys):
         # a value that starts with '-' is an option to argparse, whatever
@@ -405,15 +498,9 @@ class TestFlagIndex:
 
     def test_every_bench_argv_takes_the_fast_path(self):
         # the benchmark's CLI workloads, read from bench/workloads.py
-        spec = importlib.util.spec_from_file_location("bench_workloads",
-                                                      ROOT / "bench" / "workloads.py")
-        workloads = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
-        ops = workloads.gr_sweep_ops() + workloads.oracle_ops(ROOT)
-        assert len(ops) > 50
-        for op in ops:
-            fast = cli._parse_flags(INDEX, list(op.argv))
-            assert fast is not None and fast == PARSER.parse_args(list(op.argv)), op.key
+        for key, argv in bench_argvs().items():
+            fast = cli._parse_flags(INDEX, argv)
+            assert fast is not None and fast == PARSER.parse_args(argv), key
 
 
 class TestShiftCheck:
@@ -488,7 +575,7 @@ class TestShiftCheckProbes:
 
     def test_probe_list_is_not_kept_between_runs(self, capsys, monkeypatch):
         # a run with --probe leaves nothing for the next run without it:
-        # its report is that of a run on a freshly built parser
+        # its report is that of a run on a freshly built flag index
         monkeypatch.setattr(cli, "_parser", None)
         monkeypatch.setattr(cli, "_index", None)
         fresh = run_cli(capsys, "shift-check", *PROBE_BASE)

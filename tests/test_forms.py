@@ -429,6 +429,16 @@ class TestGrammar:
         with pytest.raises(ParseError):
             parse_form(k, 2, "t1^1*dlog[1]")
 
+    @pytest.mark.parametrize("text", ["dlog[1]", "t1^1dlog[1]", "1*dlog[2]+dlog[1]"])
+    def test_dlog_without_an_element_before_it(self, text):
+        # the grammar is ELEMENT*dlog[...]; the ']' is there, so saying it
+        # is missing would point at the wrong part of the term
+        from grmk.ffield import ParseError
+        k = ctx()
+        with pytest.raises(ParseError, match=r"needs an element and '\*' before it") as exc:
+            parse_form(k, 1, text)
+        assert "missing ']'" not in str(exc.value)
+
 
 class TestExponentBound:
     def test_iterated_inverse_cartier_overflows_checked(self):

@@ -274,6 +274,24 @@ class TestFixtures:
         polys = load_fixture(fixtures_dir / "q2_sqrt2.field")
         assert polys.coeffs == [-2, 0, 1]
 
+    @pytest.mark.parametrize("key, text", [
+        ("p", "p: x\ncoeffs: 2 2 1\n"),
+        ("f", "p: 2\nf: 1.5\ncoeffs: 2 2 1\n"),
+        ("coeffs", "p: 2\ncoeffs: 2 x 1\n"),
+    ])
+    def test_non_integer_names_the_fixture_and_the_key(self, capsys, tmp_path, key, text):
+        from grmk import cli
+
+        fixture = tmp_path / "bad.field"
+        fixture.write_text(text, encoding="utf-8")
+        line = next(line for line in text.splitlines() if line.startswith(f"{key}:"))
+        message = f"fixture {fixture}: cannot read '{line}' as integers"
+        with pytest.raises(ValueError) as exc:
+            load_fixture(fixture)
+        assert str(exc.value) == message
+        code = cli.main(["verify-q1", "--fixture", str(fixture), "--n", "1"])
+        assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
+
 
 # (id, field, largest n with mu_{p^n} in K): the fixture fields and the
 # unramified quadratic extensions the benchmark adds
