@@ -43,9 +43,7 @@ def cmd_reduce(args):
     desc = descriptor(params, args.m, window_cap=args.window_cap)
     w1 = parse_form(params.kctx, params.q - 1, args.w1)
     w2 = parse_form(params.kctx, params.q - 2, args.w2) if args.w2 else None
-    el = desc.element(w1, w2)
-    red = reduce(el)
-    _emit(reports.render_reduce(desc, red, red.is_zero_pair()))
+    _emit(reports.render_reduce(reduce(desc.element(w1, w2))))
     return 0
 
 
@@ -53,8 +51,7 @@ def cmd_symbol(args):
     params = _params_from(args)
     sym = parse_symbol(params.kctx, args.symbol)
     el = symbol_to_forms(params, sym)
-    red = reduce(el)
-    _emit(reports.render_symbol(el.desc, args.symbol, el, red, red.is_zero_pair()))
+    _emit(reports.render_symbol(args.symbol, el, reduce(el)))
     return 0
 
 

@@ -33,7 +33,8 @@ columns, and `nf_mod` reduces by the homotopy (`koszul_nf`, `tower_nf`):
 nothing here eliminates.
 
 Degrees q < 0 and q > r denote the zero module; operations accept them and
-return zero.
+return zero, but no term can be built there: 1..r has no strictly
+increasing q-subset, so the constructor rejects every subset.
 
 Text grammar (CLI and fixtures)::
 
@@ -92,18 +93,16 @@ class DiffForm:
 
     def __init__(self, kctx, q, terms=None):
         clean = {}
-        if terms and 0 <= q <= kctx.r:
-            for subset, poly in terms.items():
-                if len(subset) != q or list(subset) != sorted(set(subset)):
-                    raise ValueError(
-                        f"subset {subset} is not a strictly increasing {q}-subset")
-                if any(not 1 <= i <= kctx.r for i in subset):
-                    raise ValueError(f"subset {subset} out of range 1..{kctx.r}")
-                if poly.ctx != kctx:
-                    raise ContextMismatch("coefficient lives in a different residue field")
-                if poly:
-                    for alpha, c in poly.terms.items():
-                        clean[subset, alpha] = c
+        for subset, poly in (terms or {}).items():
+            if len(subset) != q or list(subset) != sorted(set(subset)):
+                raise ValueError(
+                    f"subset {subset} is not a strictly increasing {q}-subset")
+            if any(not 1 <= i <= kctx.r for i in subset):
+                raise ValueError(f"subset {subset} out of range 1..{kctx.r}")
+            if poly.ctx != kctx:
+                raise ContextMismatch("coefficient lives in a different residue field")
+            for alpha, c in poly.terms.items():
+                clean[subset, alpha] = c
         self.kctx = kctx
         self.q = q
         self.terms = clean

@@ -37,7 +37,6 @@ representatives are deterministic and constant on cosets.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import math
 import re
@@ -90,15 +89,6 @@ def vp(n, p):
     return s
 
 
-def _check_level(p, e, n):
-    """Raise ValueError unless p^(n-1)(p-1) divides e."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, not {n}")
-    if e % (p ** (n - 1) * (p - 1)) != 0:
-        raise ValueError(
-            f"p^(n-1)*(p-1) = {p ** (n - 1) * (p - 1)} must divide e = {e}")
-
-
 class CDVFParams:
     """Arithmetic context (p, f, r, e, n, q, a) for the graded quotients."""
 
@@ -108,7 +98,9 @@ class CDVFParams:
             raise ValueError("e, n, q must all be >= 1")
         if e % (p - 1) != 0:
             raise ValueError(f"(p-1) = {p - 1} must divide e = {e}: e_0 is not integral")
-        _check_level(p, e, n)
+        if e % (p ** (n - 1) * (p - 1)) != 0:
+            raise ValueError(
+                f"p^(n-1)*(p-1) = {p ** (n - 1) * (p - 1)} must divide e = {e}")
         if isinstance(a, str):
             a = parse_element(kctx, a)
         if not isinstance(a, LaurentPoly) or a.ctx != kctx:
@@ -133,19 +125,6 @@ class CDVFParams:
     def threshold(self, i):
         """c_i = i*e + e_0 for i >= 1, c_0 = 0."""
         return 0 if i == 0 else i * self.e + self.e0
-
-    def with_level(self, n):
-        """These parameters at modulus exponent n.
-
-        The residue field context (with its Koszul and Case II closure
-        memos) and a are shared with self: neither depends on n.  The
-        descriptors do, so the copy starts with none.
-        """
-        _check_level(self.p, self.e, n)
-        low = copy.copy(self)
-        low.n = n
-        low.descriptors = {}
-        return low
 
     def __repr__(self):
         return (f"CDVFParams(p={self.p}, f={self.f}, r={self.r}, e={self.e}, "
@@ -515,7 +494,7 @@ def _digit_vec(acc, p, f):
 
 def _reduce_ac_slot(desc, w, deg):
     params = desc.params
-    if w.is_zero() or deg < 0 or deg > params.r:
+    if w.is_zero():
         return w
     slices = _ac_window(params, {alpha for _, alpha in w.terms}, desc.window_cap)
     space, _, slice_pos = _ac_relation_space(desc, deg, slices)
@@ -868,8 +847,9 @@ def level_shift_consistency(params, m, probes=(), radius=DEFAULT_TABLE_RADIUS,
             f"the level shift needs m > e + e_0 = {params.e + params.e0}")
     report = ShiftConsistencyReport(params, m)
     d_high = report.case_high = descriptor(params, m, window_cap)
-    d_low = report.case_low = descriptor(params.with_level(params.n - 1), m - params.e,
-                                         window_cap)
+    # the residue field, with its memos, and a are shared: neither depends on n
+    low = CDVFParams(params.p, params.f, params.r, params.e, params.n - 1, params.q, params.a)
+    d_low = report.case_low = descriptor(low, m - params.e, window_cap)
     report.structure_ok, report.structure_note = _descriptors_shift_match(d_high, d_low)
     # same beta on both sides: a theta level here has s < n-i <= v_p(e), so v_p(m-e) = s
     v_high = dim_values(d_high, radius)

@@ -72,29 +72,30 @@ def render_descriptor(desc, values):
     return lines
 
 
-def render_element(el, zero_flag):
+def render_element(el):
+    """The lines of a reduced element: its forms, and `is_zero` read off them."""
     return [
         f"w1: {format_form(el.w1)}",
         f"w2: {format_form(el.w2)}",
-        f"is_zero: {'yes' if zero_flag else 'no'}",
+        f"is_zero: {'yes' if el.is_zero_pair() else 'no'}",
     ]
 
 
-def render_reduce(desc, reduced, zero_flag):
+def render_reduce(reduced):
     lines = [HEADER, "report: reduce"]
-    lines += render_params(desc.params)
-    lines += _case_lines(desc)
-    lines += render_element(reduced, zero_flag)
+    lines += render_params(reduced.desc.params)
+    lines += _case_lines(reduced.desc)
+    lines += render_element(reduced)
     return lines
 
 
-def render_symbol(desc, sym_text, el, reduced, zero_flag):
+def render_symbol(sym_text, el, reduced):
     lines = [HEADER, "report: symbol"]
-    lines += render_params(desc.params)
+    lines += render_params(el.desc.params)
     lines.append(f"symbol: {sym_text}")
     lines.append(f"image_w1: {format_form(el.w1)}")
     lines.append(f"image_w2: {format_form(el.w2)}")
-    lines += render_element(reduced, zero_flag)
+    lines += render_element(reduced)
     return lines
 
 

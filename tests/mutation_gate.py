@@ -96,6 +96,14 @@ MUTANTS = [
     ("probe-flag-not-appended", "grmk/cli.py",
      'dict(action="append", ', "dict(",
      "tests/test_cli.py::TestReferenceParser::test_same_parse_as_reference"),
+    ("forms-outside-0-to-r-dropped", "grmk/forms.py",
+     "for subset, poly in (terms or {}).items():",
+     "for subset, poly in ((terms or {}) if 0 <= q <= kctx.r else {}).items():",
+     "tests/test_forms.py::TestConstructor::test_no_term_outside_degrees_0_to_r"),
+    ("shift-low-side-at-the-same-n", "grmk/graded.py",
+     "params.e, params.n - 1, params.q, params.a)",
+     "params.e, params.n, params.q, params.a)",
+     "tests/test_graded.py::TestShiftConsistency::test_low_side_is_one_level_down"),
 ]
 
 

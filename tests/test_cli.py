@@ -184,6 +184,30 @@ class TestReduce:
         assert "Traceback" not in proc.stderr
 
 
+R1 = ["--p", "2", "--r", "1", "--e", "2", "--a", "1"]
+
+
+class TestDlogIndexPastR:
+    # Omega^q = 0 above r = 1, yet a dlog index past r is a usage error at
+    # every degree, as it is at q - 1 <= r
+    @pytest.mark.parametrize("argv, subset", [
+        (["reduce", *R1, "--n", "1", "--m", "1", "--q", "3", "--w1", "t1^1*dlog[1,2]"],
+         "(1, 2)"),
+        (["reduce", *R1, "--n", "1", "--m", "1", "--q", "3", "--w1", "t1^1*dlog[7,9]"],
+         "(7, 9)"),
+        (["reduce", *R1, "--n", "1", "--m", "1", "--q", "4", "--w1", "0",
+          "--w2", "t1^1*dlog[1,2]"], "(1, 2)"),
+        (["reduce", *R1, "--n", "1", "--m", "1", "--q", "2", "--w1", "t1^1*dlog[7]"],
+         "(7,)"),
+        (["shift-check", *R1, "--n", "2", "--m", "5", "--q", "3",
+          "--probe", "t1^1*dlog[1,5];"], "(1, 5)"),
+    ])
+    def test_subset_out_of_range(self, capsys, argv, subset):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: subset {subset} out of range 1..1\n"
+
+
 class TestSymbol:
     def test_q1(self, capsys):
         args = ["--p", "2", "--f", "1", "--r", "1", "--e", "2", "--n", "2",

@@ -2,9 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from grmk.ffield import (EXP_LIMIT, ContextMismatch, ExponentOverflow,
-                         KContext, LaurentPoly)
+                         KContext, LaurentPoly, ParseError, format_element)
 from grmk.forms import (B_KIND, Z_KIND, DiffForm, NotClosed, cartier, d,
                         format_form, from_slice_vectors, in_B, in_Z,
                         inv_cartier, inv_cartier_iter, is_closed,
@@ -38,6 +39,21 @@ class TestConstructor:
         other = ctx(p=2, f=2, r=2).monomial((1, 0), 3)
         with pytest.raises(ContextMismatch):
             DiffForm(k, 1, {(1,): other})
+
+    def test_no_term_outside_degrees_0_to_r(self):
+        # Omega^q is zero above r and below 0: a term there is an error, not
+        # silently 0, and only the empty form is built
+        k = ctx(r=1)
+        with pytest.raises(ValueError, match=r"^subset \(1, 2\) out of range 1\.\.1$"):
+            DiffForm(k, 2, {(1, 2): k.var(1)})
+        with pytest.raises(ValueError, match=r"^subset \(7, 9\) out of range 1\.\.1$"):
+            DiffForm(k, 2, {(7, 9): k.one()})
+        with pytest.raises(ValueError, match="strictly increasing -1-subset"):
+            DiffForm(k, -1, {(): k.one()})
+        for q in (-1, 2, 3):
+            assert DiffForm(k, q).is_zero() and DiffForm(k, q, {}).is_zero()
+        with pytest.raises(ValueError, match=r"out of range 1\.\.1"):
+            parse_form(k, 2, "t1^1*dlog[1,2]")
 
 
 class TestWedge:
@@ -438,6 +454,57 @@ class TestGrammar:
         with pytest.raises(ParseError, match=r"needs an element and '\*' before it") as exc:
             parse_form(k, 1, text)
         assert "missing ']'" not in str(exc.value)
+
+
+@st.composite
+def degree_and_indices(draw):
+    """(p, r, q, indices, alpha, code) with q in -1..r+2 and indices either any
+    short list in -1..r+2 or a sorted subset of 1..r+2 (valid or not)."""
+    p = draw(st.sampled_from([2, 3]))
+    r = draw(st.integers(0, 3))
+    q = draw(st.integers(-1, r + 2))
+    pool = st.integers(-1, r + 2)
+    indices = draw(st.one_of(
+        st.lists(pool, max_size=r + 2),
+        st.sets(st.integers(1, r + 2), max_size=r + 2).map(sorted)))
+    alpha = draw(st.lists(st.integers(-3, 3), min_size=r, max_size=r))
+    code = draw(st.integers(1, p - 1))
+    return p, r, q, tuple(indices), tuple(alpha), code
+
+
+class TestDegreeRange:
+    @settings(max_examples=300, deadline=None)
+    @given(degree_and_indices())
+    @example((2, 1, 2, (1, 2), (1,), 1))
+    @example((2, 1, 3, (1, 2, 3), (0,), 1))
+    @example((3, 2, -1, (), (0, 0), 2))
+    @example((2, 0, 0, (), (), 1))
+    def test_terms_accepted_exactly_when_indices_fit(self, case):
+        # one checked path at every degree: a term is a form iff its indices
+        # strictly increase within 1..r and number q; DiffForm and the parser
+        # agree, and parse o format is the identity on what they accept
+        p, r, q, indices, alpha, code = case
+        k = KContext(p, 1, r)
+        poly = k.monomial(alpha, code)
+        fits = (len(indices) == q and list(indices) == sorted(set(indices))
+                and all(1 <= i <= r for i in indices))
+        text = f"{format_element(poly)}*dlog[{','.join(map(str, indices))}]"
+        if not fits:
+            with pytest.raises(ValueError):
+                DiffForm(k, q, {indices: poly})
+            with pytest.raises((ValueError, ParseError)):
+                parse_form(k, q, text)
+            return
+        w = DiffForm(k, q, {indices: poly})
+        assert parse_form(k, q, text) == w
+        assert parse_form(k, q, format_form(w)) == w
+        assert format_form(parse_form(k, q, format_form(w))) == format_form(w)
+
+    @pytest.mark.parametrize("r", [0, 1, 3])
+    def test_zero_parses_at_every_degree(self, r):
+        k = KContext(2, 1, r)
+        for q in range(-1, r + 3):
+            assert parse_form(k, q, "0") == DiffForm.zero(k, q)
 
 
 class TestExponentBound:

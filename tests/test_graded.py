@@ -49,9 +49,11 @@ class TestParams:
         P = params_q2i()
         assert [P.threshold(i) for i in range(3)] == [0, 4, 6]
 
-    def test_with_level_shares_the_residue_field(self):
+    def test_lower_level_shares_the_residue_field(self):
+        # a lower level is built by the constructor, as the level shift does,
+        # and shares the residue field and the same a
         P = CDVFParams(2, 2, 1, 4, 3, 2, "g^1*t1^1")
-        low = P.with_level(1)
+        low = CDVFParams(P.p, P.f, P.r, P.e, 1, P.q, P.a)
         assert low.kctx is P.kctx and low.a is P.a
         assert (low.n, P.n) == (1, 3)
         assert repr(low) == repr(CDVFParams(2, 2, 1, 4, 1, 2, "g^1*t1^1"))
@@ -67,12 +69,12 @@ class TestParams:
             assert other.kctx is not P.kctx
         assert KContext(3, 1, 2) is not P.kctx and KContext(3, 1, 2) == P.kctx
 
-    def test_with_level_keeps_the_divisibility_check(self):
+    def test_lower_level_keeps_the_divisibility_check(self):
         P = params_q2i()
         # p^(n-1)(p-1) | e fails for p=2, e=2, n=3, and n = 0 is no level
         for n in (3, 0):
             with pytest.raises(ValueError):
-                P.with_level(n)
+                CDVFParams(P.p, P.f, P.r, P.e, n, P.q, P.a)
 
 
 class TestDescriptorCache:
@@ -88,11 +90,11 @@ class TestDescriptorCache:
             assert ((other.m, other.tag, other.i, other.s, other.branch)
                     == (desc.m, desc.tag, desc.i, desc.s, desc.branch))
 
-    def test_with_level_has_its_own_descriptors(self):
+    def test_lower_level_has_its_own_descriptors(self):
         P = CDVFParams(2, 1, 2, 4, 2, 2, "t1^1")
         m = 6  # s = 1: theta at n = 2, zmod at n = 1
         high = descriptor(P, m)
-        low = P.with_level(1)
+        low = CDVFParams(P.p, P.f, P.r, P.e, 1, P.q, P.a)
         assert low.descriptors == {}
         desc = descriptor(low, m)
         assert desc is not high and desc.params is low
@@ -647,6 +649,22 @@ class TestTablesByClass:
         assert cli.main(["shift-check", *argv, "--m", "12"]) == 0
         assert "consistent: yes" in capsys.readouterr().out.splitlines()
         assert len(shared.ac_closure_memo) == 1 and degs == [1, 0]
+
+    def test_shift_check_eliminates_one_closure(self, monkeypatch):
+        # c_2 = 12 at n = 2 and c_1 = 8 at n = 1 both have z_level 1: the low
+        # side's CDVFParams shares the residue field, so the two sides read
+        # one memo entry, built by one relation space per form degree
+        P = CDVFParams(2, 1, 2, 4, 2, 2, "t1^1")
+        degs = []
+
+        def recording_space(desc, deg, slices):
+            degs.append(deg)
+            return _ac_relation_space(desc, deg, slices)
+
+        monkeypatch.setattr("grmk.graded._ac_relation_space", recording_space)
+        rep = level_shift_consistency(P, 12)
+        assert rep.consistent and (rep.case_high.branch, rep.case_low.branch) == ("ac", "ac")
+        assert len(P.kctx.ac_closure_memo) == 1 and degs == [1, 0]
 
     def test_not_closed_row_outside_the_ball_raises(self, monkeypatch):
         # a = 1 gives the ball {0}, where the Z-slice is whole and no Koszul
@@ -1204,6 +1222,16 @@ class TestShiftConsistency:
         rep = level_shift_consistency(P, 6)
         assert rep.consistent
         assert rep.case_high.tag == CASE_II and rep.case_low.tag == CASE_II
+
+    def test_low_side_is_one_level_down(self):
+        # at n = 3, c_2 = 12 has z_level 1, and so has c_1 = 8 at n = 2; c_1
+        # at n = 3 would have z_level 2 and break the tower levels
+        P = CDVFParams(2, 1, 1, 4, 3, 2, "t1^1")
+        rep = level_shift_consistency(P, 12)
+        low = rep.case_low.params
+        assert (low.n, rep.case_low.m, rep.case_low.z_level) == (2, 8, 1)
+        assert low is not P and low.kctx is P.kctx and low.a is P.a
+        assert rep.consistent, rep.structure_note
 
     def test_precondition(self):
         P = params_q2i()
