@@ -65,11 +65,11 @@ def cmd_verify_q1(args):
     params = CDVFParams(poly.p, poly.f, 0, poly.e, args.n, 1, str(ctx.a_residue()))
     orders = oracle.filtered_unit_group(ctx, args.n)
     cmp_report = oracle.compare(ctx, params, orders)
-    # stabilization between cutoffs c_n + 1 and c_n + 3, reusing the orders at N
-    lo, hi = (orders if cutoff == N else oracle.filtered_unit_group(
-                  oracle.build_field(poly, cutoff), args.n)
-              for cutoff in (c_n + 1, c_n + 3))
-    stable = oracle.same_orders(lo, hi)
+    # stabilization: the orders at N against those at c_n + 1, or at c_n + 3
+    # when N = c_n + 1
+    other = c_n + 3 if N == c_n + 1 else c_n + 1
+    stable = oracle.same_orders(
+        orders, oracle.filtered_unit_group(oracle.build_field(poly, other), args.n))
     _emit(reports.render_compare(cmp_report, stable))
     return 0 if (cmp_report.all_match and stable) else 1
 

@@ -391,8 +391,8 @@ def parse_element(ctx, text):
     text = text.strip().replace(" ", "")
     if not text:
         raise ParseError("empty element")
-    # summed in one dict, a zero sum deleted as it arises: the terms, and
-    # their order, of adding the monomials one by one, in linear time
+    # the codes are summed per exponent vector in one dict, in linear time;
+    # LaurentPoly drops the zero sums
     add = ctx.fq.add
     total = {}
     for term in text.split("+"):
@@ -419,11 +419,7 @@ def parse_element(ctx, text):
         if code:
             alpha = tuple(alpha)
             check_alpha(alpha)
-            c = add(total.get(alpha, 0), code)
-            if c:
-                total[alpha] = c
-            else:
-                del total[alpha]
+            total[alpha] = add(total.get(alpha, 0), code)
     return LaurentPoly(ctx, total)
 
 

@@ -34,7 +34,10 @@ nothing here eliminates.
 
 Degrees q < 0 and q > r denote the zero module; operations accept them and
 return zero, but no term can be built there: 1..r has no strictly
-increasing q-subset, so the constructor rejects every subset.
+increasing q-subset, so the constructor rejects every subset.  The wedge of
+a q1-form and a q2-form has degree q1 + q2 even when it is zero, and the
+product of a form by an element a of k is the wedge with the 0-form a
+(Omega^0 = k): `wedge(DiffForm.from_poly(a), w)`.
 
 Text grammar (CLI and fixtures)::
 
@@ -165,20 +168,6 @@ class DiffForm:
     def __sub__(self, other):
         return self + (-other)
 
-    def times_poly(self, poly):
-        """Left multiplication by a field element (a 0-form)."""
-        if poly.ctx != self.kctx:
-            raise ContextMismatch("operands live in different residue fields")
-        fq = self.kctx.fq
-        out = {}
-        for (subset, alpha), c in self.terms.items():
-            for beta, b in poly.terms.items():
-                gamma = tuple(x + y for x, y in zip(beta, alpha))
-                check_alpha(gamma)
-                key = subset, gamma
-                out[key] = fq.add(out.get(key, 0), fq.mul(b, c))
-        return DiffForm._of(self.kctx, self.q, out)
-
     def scale(self, code):
         mul = self.kctx.fq.mul
         return DiffForm._of(self.kctx, self.q,
@@ -197,7 +186,7 @@ def wedge(w1, w2):
     kctx = w1.kctx
     q = w1.q + w2.q
     if w1.is_zero() or w2.is_zero() or q > kctx.r:
-        return DiffForm.zero(kctx, min(q, kctx.r + 1))
+        return DiffForm.zero(kctx, q)
     fq = kctx.fq
     out = {}
     for (s1, a1), c1 in w1.terms.items():
@@ -462,10 +451,9 @@ def parse_form(kctx, q, text):
         raise ParseError("empty form")
     if text == "0":
         return DiffForm.zero(kctx, q)
-    # each term is checked as a DiffForm, then summed into one dict as in
-    # parse_element
-    add = kctx.fq.add
-    total = {}
+    # the syntax of each term is checked here; the element texts of one
+    # subset are summed by the element grammar, and DiffForm checks the subsets
+    by_subset = {}
     for fterm in text.split("+"):
         if "dlog[" in fterm:
             elem_text, sep, rest = fterm.partition("*dlog[")
@@ -483,19 +471,13 @@ def parse_form(kctx, q, text):
                 raise ParseError("dlog indices must be strictly increasing", idx_text)
             if len(subset) != q:
                 raise ParseError(f"dlog[{idx_text}] has degree {len(subset)}, expected {q}", fterm)
-            poly = parse_element(kctx, elem_text)
         else:
             if q != 0:
                 raise ParseError(f"term {fterm!r} has degree 0, expected {q}", fterm)
-            subset = ()
-            poly = parse_element(kctx, fterm)
-        for key, c in DiffForm(kctx, q, {subset: poly}).terms.items():
-            c = add(total.get(key, 0), c)
-            if c:
-                total[key] = c
-            else:
-                del total[key]
-    return DiffForm._of(kctx, q, total)
+            subset, elem_text = (), fterm
+        by_subset.setdefault(subset, []).append(elem_text)
+    return DiffForm(kctx, q, {subset: parse_element(kctx, "+".join(texts))
+                              for subset, texts in by_subset.items()})
 
 
 def format_form(w):

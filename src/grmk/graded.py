@@ -161,7 +161,7 @@ def theta(params, m, w):
 
 def one_plus_ac(params, z):
     """Apply 1 + aC; z must be closed so that the Cartier operator applies."""
-    return z + cartier(z).times_poly(params.a)
+    return z + wedge(DiffForm.from_poly(params.a), cartier(z))
 
 
 # ---------------------------------------------------------------------------

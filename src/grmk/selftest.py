@@ -147,8 +147,9 @@ def prop_forms_leibniz(rng, cases):
         k = rand_context(rng)
         fpoly = rand_element(rng, k)
         w = rand_form(rng, k, rng.randint(0, 2))
-        lhs = d(w.times_poly(fpoly))
-        rhs = wedge(d(DiffForm.from_poly(fpoly)), w) + d(w).times_poly(fpoly)
+        f0 = DiffForm.from_poly(fpoly)
+        lhs = d(wedge(f0, w))
+        rhs = wedge(d(f0), w) + wedge(f0, d(w))
         check(lhs == rhs, f"Leibniz failed for f={fpoly!r}, w={w!r}")
 
 

@@ -104,6 +104,12 @@ MUTANTS = [
      "params.e, params.n - 1, params.q, params.a)",
      "params.e, params.n, params.q, params.a)",
      "tests/test_graded.py::TestShiftConsistency::test_low_side_is_one_level_down"),
+    ("form-text-last-term-per-subset", "grmk/forms.py",
+     '"+".join(texts)', "texts[-1]",
+     "tests/test_forms.py::TestGrammar::test_repeated_and_cancelling_terms"),
+    ("one-plus-ac-without-a", "grmk/graded.py",
+     "wedge(DiffForm.from_poly(params.a), cartier(z))", "cartier(z)",
+     "tests/test_graded.py::TestRelationRows::test_ac_rows_match_forms"),
 ]
 
 

@@ -1,8 +1,8 @@
 """Test-only references, kept out of the package: helpers on the oracle's
-O_K/(pi^N), a monomial d, a dense Gauss-Jordan elimination, the
-slice-diagonal quotient by elimination, the Case I reduction slice by slice,
-the `dim[...]` rows by pattern and the command-line parser written out flag
-by flag.
+O_K/(pi^N), a monomial d, the product of an element and a form term by
+term, a dense Gauss-Jordan elimination, the slice-diagonal quotient by
+elimination, the Case I reduction slice by slice, the `dim[...]` rows by
+pattern and the command-line parser written out flag by flag.
 
 These helpers return values for the tests to assert on; they assert nothing
 themselves, since pytest rewrites asserts only in test modules and python -O
@@ -15,6 +15,7 @@ import itertools
 from grmk import graded
 from grmk.cli import (cmd_gr, cmd_reduce, cmd_selftest, cmd_shift_check,
                       cmd_symbol, cmd_verify_q1)
+from grmk.ffield import check_alpha
 from grmk.forms import (B_KIND, Z_KIND, DiffForm, from_slice_vectors,
                         slice_vectors, subsets_of, subspace_basis)
 from grmk.graded import GrElement, _theta_relation_space, theta
@@ -79,6 +80,20 @@ def d_terms(w):
             out[key] = fq.add(out.get(key, 0), term)
     return {key: c for key, c in out.items() if c}
 
+
+
+def element_times_form(poly, w):
+    """poly * w, of the degree of w: each term of poly times each term of w,
+    exponents added and checked, codes multiplied and summed per monomial."""
+    fq = w.kctx.fq
+    out = {}
+    for (subset, alpha), c in w.terms.items():
+        for beta, b in poly.terms.items():
+            gamma = tuple(x + y for x, y in zip(beta, alpha))
+            check_alpha(gamma)
+            key = subset, gamma
+            out[key] = fq.add(out.get(key, 0), fq.mul(b, c))
+    return DiffForm._of(w.kctx, w.q, out)
 
 def gauss_jordan(fq, vectors, ncols):
     """Reduced row echelon form of sparse vectors over the columns

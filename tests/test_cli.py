@@ -9,7 +9,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from grmk import cli
+from grmk import cli, oracle
 from grmk.forms import NotClosed
 from grmk.selftest import PROPERTIES
 
@@ -160,6 +160,17 @@ class TestReduce:
         code, _, err = run_cli(capsys, "reduce", *BASE, "--m", "5", "--w1", "t9^1")
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize("w1, error", [
+        ("t1^x*dlog[1]+1*dlog[2", "missing ']' after dlog[ (at '1*dlog[2')"),
+        ("t1^x*dlog[1]+1*dlog[2]", "unrecognized token (at 't1^x')"),
+    ], ids=["syntax-and-element-fault", "element-fault"])
+    def test_syntax_fault_is_reported_first(self, capsys, w1, error):
+        # every term's dlog syntax is checked before any element is parsed
+        code, out, err = run_cli(capsys, "reduce", "--p", "2", "--r", "2", "--e", "4",
+                                 "--n", "2", "--q", "2", "--a", "t1^1", "--m", "9",
+                                 "--w1", w1)
+        assert (code, out, err) == (2, "", f"error: {error}\n")
+
     def test_bare_dlog_is_a_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "reduce", "--p", "2", "--r", "1", "--e", "2",
                                  "--n", "2", "--q", "2", "--a", "1", "--m", "4",
@@ -270,6 +281,38 @@ class TestVerifyQ1:
                                "--fixture", str(fixtures_dir / "q3_zeta3.field"),
                                "--n", "1", "--format", "machine")
         assert code == 0 and "all_match: yes" in out
+
+    @pytest.mark.parametrize("N, other", [("7", 9), ("11", 7)])
+    def test_stabilization_reads_the_printed_cutoff(self, capsys, monkeypatch,
+                                                    fixtures_dir, N, other):
+        # c_n = 6: the orders at N are compared with one run at c_n + 1, or
+        # at c_n + 3 when N = c_n + 1
+        cutoffs = []
+        build = oracle.build_field
+        monkeypatch.setattr(oracle, "build_field",
+                            lambda poly, cutoff: cutoffs.append(cutoff) or build(poly, cutoff))
+        code, out, _ = run_cli(capsys, "verify-q1",
+                               "--fixture", str(fixtures_dir / "q2_gaussian.field"),
+                               "--n", "2", "--N", N)
+        assert code == 0 and cutoffs == [int(N), other]
+        assert "all_match: yes" in out and "stabilization: yes" in out
+
+    def test_bad_order_at_the_printed_cutoff_fails_stabilization(self, capsys,
+                                                                 monkeypatch, fixtures_dir):
+        # an order wrong only at N = 11, at level 10 past c_n = 6
+        orders_at = oracle.filtered_unit_group
+
+        def patched(ctx, n):
+            orders = orders_at(ctx, n)
+            if ctx.N == 11:
+                orders[10] = 2
+            return orders
+
+        monkeypatch.setattr(oracle, "filtered_unit_group", patched)
+        code, out, _ = run_cli(capsys, "verify-q1",
+                               "--fixture", str(fixtures_dir / "q2_gaussian.field"),
+                               "--n", "2", "--N", "11")
+        assert code == 1 and "stabilization: no" in out
 
     def test_low_cutoff_names_threshold(self, capsys, fixtures_dir):
         code, _, err = run_cli(capsys, "verify-q1",

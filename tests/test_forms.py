@@ -5,15 +5,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from grmk.ffield import (EXP_LIMIT, ContextMismatch, ExponentOverflow,
-                         KContext, LaurentPoly, ParseError, format_element)
+                         KContext, LaurentPoly, ParseError, format_element,
+                         parse_element)
 from grmk.forms import (B_KIND, Z_KIND, DiffForm, NotClosed, cartier, d,
                         format_form, from_slice_vectors, in_B, in_Z,
                         inv_cartier, inv_cartier_iter, is_closed,
                         koszul_matrix, koszul_slice, nf_mod, parse_form,
                         slice_vectors, subsets_of, subspace_basis, wedge)
 from grmk.linalg import RowSpace, rank_of
-from grmk.selftest import rand_form
-from reference import d_terms, gauss_jordan
+from grmk.selftest import rand_element, rand_form
+from reference import d_terms, element_times_form, gauss_jordan
 
 
 FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]
@@ -75,7 +76,25 @@ class TestWedge:
 
     def test_degree_overflow_is_zero(self):
         k = ctx(r=1)
-        assert wedge(dlog(k, 1), dlog(k, 1)).is_zero()
+        w = wedge(dlog(k, 1), dlog(k, 1))
+        assert w.is_zero() and w.q == 2
+        # the zero result keeps the degree q1 + q2, also past r + 1
+        assert wedge(DiffForm.zero(k, 3), dlog(k, 1)) == DiffForm.zero(k, 4)
+
+    def test_zero_form_product_is_the_element_product(self):
+        # a product by an element of k is the wedge with a 0-form: the same
+        # value and degree as the term-by-term product, zero forms included
+        rng = random.Random(30)
+        for p, f in FIELDS:
+            for r in range(4):
+                k = KContext(p, f, r)
+                for q in range(-1, r + 2):
+                    for _ in range(4):
+                        a = rand_element(rng, k)
+                        for w in (rand_form(rng, k, q), DiffForm.zero(k, q)):
+                            got = wedge(DiffForm.from_poly(a), w)
+                            assert got == element_times_form(a, w), (a, w)
+                            assert got.q == q
 
 
 class TestD:
@@ -439,6 +458,20 @@ class TestGrammar:
         with pytest.raises(ParseError):
             parse_form(k, 1, "1*dlog[1]+1*dlog[1]+1")
 
+    def test_one_element_parse_per_subset(self, monkeypatch):
+        # the element texts of one subset are summed by one parse_element
+        calls = []
+
+        def spy(kctx, text):
+            calls.append(text)
+            return parse_element(kctx, text)
+
+        monkeypatch.setattr("grmk.forms.parse_element", spy)
+        k = ctx()
+        w = parse_form(k, 1, "t1^1*dlog[1]+t2^1*dlog[2]+1*dlog[1]+t1^1*dlog[3]+t1^1*dlog[1]")
+        assert sorted(calls) == ["t1^1", "t1^1+1+t1^1", "t2^1"]
+        assert w == dlog(k, 1) + parse_form(k, 1, "t2^1*dlog[2]+t1^1*dlog[3]")
+
     def test_parse_degree_mismatch(self):
         from grmk.ffield import ParseError
         k = ctx()
@@ -515,16 +548,13 @@ class TestExponentBound:
             inv_cartier_iter(w, 50)  # exponent would reach 2^50
 
     @pytest.mark.parametrize("sign", [1, -1])
-    def test_wedge_and_times_poly_past_the_limit_raise(self, sign):
+    def test_wedge_past_the_limit_raises(self, sign):
         k = ctx(p=2, r=2)
         edge = k.monomial((sign * EXP_LIMIT, 0))
         step = k.monomial((sign, 0))
         w = DiffForm(k, 1, {(1,): edge})
         # at the limit itself nothing is raised
-        assert w.times_poly(k.one()) == w
         assert wedge(DiffForm.from_poly(k.one()), w) == w
-        with pytest.raises(ExponentOverflow):
-            w.times_poly(step)
         with pytest.raises(ExponentOverflow):
             wedge(DiffForm.from_poly(step), w)
         with pytest.raises(ExponentOverflow):
